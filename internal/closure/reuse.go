@@ -9,7 +9,19 @@ package closure
 // answer and only needs its RelIDs rehydrated against the new
 // generation.
 //
-// The soundness argument, cell by cell:
+// The soundness argument below holds only for the exact search
+// (core.Options.DisableBestU): its answer is a function of the
+// consistent paths alone, so a diff that keeps every witness keeps the
+// answer. Under per-node best[u] pruning (the paper and safe presets)
+// the answer also depends on which prefixes were pruned at shared
+// nodes, and removing an edge outside a cell's Support changes that:
+// a path the old traversal pruned can now survive and reach a better
+// label. On a 48-class cupid schema under the paper preset, one reload
+// that dropped an association served a reused cell with 3 completions
+// where a fresh search gives 9. Reuse is therefore ruled out wholesale
+// unless best[u] pruning is off, and the pass degenerates to Build.
+//
+// For the exact search, cell by cell:
 //
 //   - Classes must be identical (same names, order, primitive flags):
 //     ClassIDs are baked into resolved paths and root indexing.
@@ -26,12 +38,13 @@ package closure
 //     transitive order, and the semantic-length cutoff is a function
 //     of the surviving best-key witnesses alone).
 //
-// Cells that fail any condition — and cells whose Support is absent
-// (restored from a durable snapshot) or incomplete (Truncated/Aborted)
-// — are rebuilt through the serving dispatch, exactly like Build.
-// Reused cells keep the Stats and flags of the search that originally
-// produced them; differential validation therefore compares the answer
-// view (completions, order, labels, best set), never Stats.
+// Cells that fail any condition — and cells whose Support is absent or
+// incomplete (Truncated/Aborted) — are rebuilt through the serving
+// dispatch, exactly like Build. Cells restored from a durable snapshot
+// carry their Support (persisted since PCSNAP02) and are reused like
+// built ones. Reused cells keep the Stats and flags of the search that
+// originally produced them; differential validation therefore compares
+// the answer view (completions, order, labels, best set), never Stats.
 
 import (
 	"context"
@@ -47,9 +60,9 @@ import (
 
 // ReuseReport summarizes one BuildReusing pass for logs and /stats.
 type ReuseReport struct {
-	// Eligible is false when the diff ruled out reuse wholesale
-	// (classes changed, edges added, or no previous index) and the pass
-	// degenerated to a full build.
+	// Eligible is false when reuse was ruled out wholesale (best[u]
+	// pruning on, classes changed, edges added, or no previous index)
+	// and the pass degenerated to a full build.
 	Eligible bool
 	// Reused and Rebuilt count cells by provenance.
 	Reused, Rebuilt int
@@ -60,7 +73,8 @@ type ReuseReport struct {
 
 // BuildReusing materializes the all-pairs closure for the snapshot
 // served as (name, gen) by cmp, reusing cells of prev — built against
-// prevSchema — whose support the schema diff did not touch. It is a
+// prevSchema — whose support the schema diff did not touch, provided
+// cmp runs the exact search (see the soundness argument above). It is a
 // drop-in replacement for Build with the same budget and error
 // contract; prev may be nil (full build). prev is only read, never
 // mutated, and may belong to a superseded snapshot.
@@ -72,7 +86,7 @@ func BuildReusing(ctx context.Context, name string, gen uint64, cmp *core.Comple
 	if prev != nil && prevSchema != nil {
 		d = schema.Diff(prevSchema, next)
 		rep.Added, rep.Removed = len(d.Added), len(d.Removed)
-		rep.Eligible = d.ClassesEqual && len(d.Added) == 0
+		rep.Eligible = cmp.Options().DisableBestU && d.ClassesEqual && len(d.Added) == 0
 	}
 	removed := core.NewEdgeSet(0)
 	if d != nil {

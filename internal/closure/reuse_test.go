@@ -148,69 +148,88 @@ func TestBuildReusingIdentical(t *testing.T) {
 
 // TestBuildReusingRemoval: removing one edge pair spot-rebuilds the
 // cells whose support it hits, carries the rest over, and the result
-// is indistinguishable from a full build of the new schema.
+// is indistinguishable from a full build of the new schema. Under
+// best[u] pruning (the paper and safe presets) Support is not an
+// invalidation footprint, so the pass must refuse reuse wholesale and
+// still match a fresh build.
 func TestBuildReusingRemoval(t *testing.T) {
 	n := int64(12)
 	if testing.Short() {
 		n = 4
 	}
-	sawReuse, sawRebuild := false, false
-	for i := int64(0); i < n; i++ {
-		w, err := cupid.Generate(diffConfig(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prevSchema := w.Schema
-		opts := core.Exact()
-		opts.E = 1 + int(i)%2
-		prev, err := closure.Build(context.Background(), "prev", 1, core.New(prevSchema, opts), nil)
-		if err != nil {
-			t.Fatalf("schema %d: Build: %v", i, err)
-		}
-		// Remove a forward edge that some cell's support actually uses,
-		// so the run exercises both carry-over and spot rebuild.
-		hit := schema.NoRel
-		prev.Walk(func(_ string, _ schema.ClassID, res *core.Result) {
-			if hit != schema.NoRel || res.Support == nil {
-				return
-			}
-			for _, id := range res.Support.IDs() {
-				rel := prevSchema.Rel(id)
-				if rel.Inv != schema.NoRel && rel.Inv < rel.ID {
-					rel = prevSchema.Rel(rel.Inv) // normalize to the declared direction
+	for _, preset := range []struct {
+		name     string
+		opts     core.Options
+		eligible bool
+	}{
+		{"exact", core.Exact(), true},
+		{"paper", core.Paper(), false},
+		{"safe", core.Safe(), false},
+	} {
+		t.Run(preset.name, func(t *testing.T) {
+			sawReuse, sawRebuild := false, false
+			for i := int64(0); i < n; i++ {
+				w, err := cupid.Generate(diffConfig(i))
+				if err != nil {
+					t.Fatal(err)
 				}
-				hit = rel.ID
-				return
+				prevSchema := w.Schema
+				opts := preset.opts
+				opts.E = 1 + int(i)%2
+				prev, err := closure.Build(context.Background(), "prev", 1, core.New(prevSchema, opts), nil)
+				if err != nil {
+					t.Fatalf("schema %d: Build: %v", i, err)
+				}
+				// Remove a forward edge that some cell's support actually
+				// uses, so the run exercises both carry-over and spot
+				// rebuild.
+				hit := schema.NoRel
+				prev.Walk(func(_ string, _ schema.ClassID, res *core.Result) {
+					if hit != schema.NoRel || res.Support == nil {
+						return
+					}
+					for _, id := range res.Support.IDs() {
+						rel := prevSchema.Rel(id)
+						if rel.Inv != schema.NoRel && rel.Inv < rel.ID {
+							rel = prevSchema.Rel(rel.Inv) // normalize to the declared direction
+						}
+						hit = rel.ID
+						return
+					}
+				})
+				if hit == schema.NoRel {
+					continue // degenerate schema with empty supports
+				}
+				next := rebuildWithout(t, prevSchema, map[schema.RelID]bool{hit: true}, nil)
+				cmp := core.New(next, opts)
+				ix, rep, err := closure.BuildReusing(context.Background(), "next", 2, cmp, nil, prev, prevSchema)
+				if err != nil {
+					t.Fatalf("schema %d: BuildReusing: %v", i, err)
+				}
+				if rep.Eligible != preset.eligible {
+					t.Fatalf("schema %d: removal-only diff reported Eligible=%v, want %v: %+v", i, rep.Eligible, preset.eligible, rep)
+				}
+				if rep.Removed != 2 || rep.Added != 0 {
+					t.Fatalf("schema %d: report %+v, want exactly one removed pair", i, rep)
+				}
+				if !preset.eligible && (rep.Reused != 0 || rep.Rebuilt != ix.Cells()) {
+					t.Fatalf("schema %d: ineligible pass reused %d cells, rebuilt %d of %d", i, rep.Reused, rep.Rebuilt, ix.Cells())
+				}
+				if rep.Rebuilt > 0 {
+					sawRebuild = true
+				}
+				if rep.Reused > 0 {
+					sawReuse = true
+				}
+				checkAgainstFresh(t, "removal", ix, next, cmp)
+			}
+			if !sawRebuild {
+				t.Error("no run spot-rebuilt a support-hit cell — the removal corpus is too weak")
+			}
+			if preset.eligible && !sawReuse {
+				t.Error("no run carried any cell over — the removal corpus is too weak")
 			}
 		})
-		if hit == schema.NoRel {
-			continue // degenerate schema with empty supports
-		}
-		next := rebuildWithout(t, prevSchema, map[schema.RelID]bool{hit: true}, nil)
-		cmp := core.New(next, opts)
-		ix, rep, err := closure.BuildReusing(context.Background(), "next", 2, cmp, nil, prev, prevSchema)
-		if err != nil {
-			t.Fatalf("schema %d: BuildReusing: %v", i, err)
-		}
-		if !rep.Eligible {
-			t.Fatalf("schema %d: removal-only diff reported ineligible: %+v", i, rep)
-		}
-		if rep.Removed != 2 || rep.Added != 0 {
-			t.Fatalf("schema %d: report %+v, want exactly one removed pair", i, rep)
-		}
-		if rep.Rebuilt > 0 {
-			sawRebuild = true
-		}
-		if rep.Reused > 0 {
-			sawReuse = true
-		}
-		checkAgainstFresh(t, "removal", ix, next, cmp)
-	}
-	if !sawRebuild {
-		t.Error("no run spot-rebuilt a support-hit cell — the removal corpus is too weak")
-	}
-	if !sawReuse {
-		t.Error("no run carried any cell over — the removal corpus is too weak")
 	}
 }
 

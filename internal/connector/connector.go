@@ -29,6 +29,7 @@ package connector
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -241,44 +242,57 @@ func Primaries() []Connector {
 	return []Connector{CIsa, CMayBe, CHasPart, CIsPartOf, CAssoc}
 }
 
-// Set is an unordered set of connectors, used for caution sets and
-// for collecting the connectors present in label sets.
-type Set map[Connector]bool
+// Set is a set of connectors, used for caution sets: a bitmask with
+// one bit per (Kind, Possibly) encoding — 8 kinds × 2 fit 16 bits, the
+// two encodings outside Σ ({Isa,Possibly}, {MayBe,Possibly}) simply
+// never being set. Membership and intersection are single bit tests,
+// which is what lets the search kernel consult a caution set on every
+// failed best[u] test without a map lookup.
+type Set uint16
+
+// index returns c's (Kind, Possibly) encoding: its bit position in a
+// Set and its slot in the caution-set tables.
+func (c Connector) index() int {
+	i := int(c.Kind) << 1
+	if c.Possibly {
+		i |= 1
+	}
+	return i
+}
+
+// bit returns c's member bit; connectors with an invalid kind shift
+// past the 16 bits and so are never members.
+func (c Connector) bit() Set { return 1 << c.index() }
 
 // NewSet returns a Set containing the given connectors.
 func NewSet(cs ...Connector) Set {
-	s := make(Set, len(cs))
+	var s Set
 	for _, c := range cs {
-		s[c] = true
+		s.Add(c)
 	}
 	return s
 }
 
 // Has reports whether c is in the set.
-func (s Set) Has(c Connector) bool { return s[c] }
+func (s Set) Has(c Connector) bool { return s&c.bit() != 0 }
 
 // Add inserts c into the set.
-func (s Set) Add(c Connector) { s[c] = true }
+func (s *Set) Add(c Connector) { *s |= c.bit() }
 
 // Intersects reports whether s and t share any connector.
-func (s Set) Intersects(t Set) bool {
-	if len(t) < len(s) {
-		s, t = t, s
-	}
-	for c := range s {
-		if t[c] {
-			return true
-		}
-	}
-	return false
-}
+func (s Set) Intersects(t Set) bool { return s&t != 0 }
+
+// Len returns the number of connectors in the set.
+func (s Set) Len() int { return bits.OnesCount16(uint16(s)) }
 
 // Slice returns the members of the set sorted by String form, for
 // deterministic display.
 func (s Set) Slice() []Connector {
-	out := make([]Connector, 0, len(s))
-	for c := range s {
-		out = append(out, c)
+	out := make([]Connector, 0, s.Len())
+	for _, c := range all {
+		if s.Has(c) {
+			out = append(out, c)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out

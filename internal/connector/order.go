@@ -47,29 +47,31 @@ func Better(a, b Connector) bool { return rank[a.Kind] < rank[b.Kind] }
 // instead (Section 3.4.2).
 func Comparable(a, b Connector) bool { return rank[a.Kind] != rank[b.Kind] }
 
-// cautionSets[c] is the caution set of connector c, computed once at
-// package initialization by brute force over Σ.
-var cautionSets = buildCautionSets()
+// cautionSets[c.index()] is the caution set of connector c and
+// cautionExtSets[c.index()] its extended caution set (see Caution and
+// CautionExtended), both computed once at package initialization.
+var (
+	cautionSets    = buildCaution(func(d1, d2 Connector) bool { return !Comparable(d1, d2) })
+	cautionExtSets = buildCaution(func(d1, d2 Connector) bool { return !Better(d2, d1) })
+)
 
-func buildCautionSets() map[Connector]Set {
-	sets := make(map[Connector]Set, len(all))
+// buildCaution computes by brute force over Σ, for every c1, the set of
+// connectors c2 ≺ c1 for which some extension c3 makes
+// diverges(Con(c1, c3), Con(c2, c3)) hold — i.e. under which pruning c1
+// in favor of c2 could lose an optimal path.
+func buildCaution(diverges func(d1, d2 Connector) bool) (sets [16]Set) {
 	for _, c1 := range all {
-		set := make(Set)
 		for _, c2 := range all {
 			if !Better(c2, c1) {
 				continue
 			}
-			// c2 is better than c1; is there an extension c3 under
-			// which the two composed connectors become incomparable,
-			// i.e. under which pruning c1 could lose an optimal path?
 			for _, c3 := range all {
-				if !Comparable(Con(c1, c3), Con(c2, c3)) {
-					set.Add(c2)
+				if diverges(Con(c1, c3), Con(c2, c3)) {
+					sets[c1.index()].Add(c2)
 					break
 				}
 			}
 		}
-		sets[c1] = set
 	}
 	return sets
 }
@@ -80,33 +82,9 @@ func buildCautionSets() map[Connector]Set {
 // connectors are better than the incoming label's, the incoming path
 // may still be extended into an optimal completion exactly when one of
 // those better connectors lies in the incoming connector's caution
-// set; Algorithm 2 therefore re-explores in that case.
-//
-// The returned set is shared; callers must not modify it.
-func Caution(c Connector) Set { return cautionSets[c] }
-
-// cautionExtSets[c] is the extended caution set of c; see CautionExtended.
-var cautionExtSets = buildCautionExtSets()
-
-func buildCautionExtSets() map[Connector]Set {
-	sets := make(map[Connector]Set, len(all))
-	for _, c1 := range all {
-		set := make(Set)
-		for _, c2 := range all {
-			if !Better(c2, c1) {
-				continue
-			}
-			for _, c3 := range all {
-				if !Better(Con(c2, c3), Con(c1, c3)) {
-					set.Add(c2)
-					break
-				}
-			}
-		}
-		sets[c1] = set
-	}
-	return sets
-}
+// set; Algorithm 2 therefore re-explores in that case. The lookup is
+// one table index; c must be a member of Σ.
+func Caution(c Connector) Set { return cautionSets[c.index()] }
 
 // CautionExtended returns a superset of Caution(c): the connectors
 // c2 ≺ c such that under some extension c3, c2's composition fails to
@@ -115,9 +93,9 @@ func buildCautionExtSets() map[Connector]Set {
 // The paper's condition is sufficient for its own (unpublished) ≺ of
 // Figure 3; under our reconstructed ≺ a reversal witness exists
 // (. ≺ .SB, yet Con(.SB,<$) = .SB beats Con(.,<$) = ..), so exact
-// search modes use this extended set. The returned set is shared;
-// callers must not modify it.
-func CautionExtended(c Connector) Set { return cautionExtSets[c] }
+// search modes use this extended set. Like Caution, it is one table
+// index; c must be a member of Σ.
+func CautionExtended(c Connector) Set { return cautionExtSets[c.index()] }
 
 // Distributive reports whether the pair (c1, c2) distributes over
 // every extension: AGG({Con(c1,c3), Con(c2,c3)}) is never a strict

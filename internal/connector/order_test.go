@@ -73,30 +73,30 @@ func TestOrderShape(t *testing.T) {
 
 // TestCautionMatchesDefinition recomputes every caution set from the
 // definition in Section 4.1 with an independent brute force and
-// compares against the package's precomputed sets.
+// compares the bitmasks exactly, for both the paper and the extended
+// definition.
 func TestCautionMatchesDefinition(t *testing.T) {
 	for _, c1 := range All() {
-		want := make(Set)
+		var want, wantExt Set
 		for _, c2 := range All() {
 			if !Better(c2, c1) {
 				continue
 			}
 			for _, c3 := range All() {
-				if !Comparable(Con(c1, c3), Con(c2, c3)) {
+				d1, d2 := Con(c1, c3), Con(c2, c3)
+				if !Comparable(d1, d2) {
 					want.Add(c2)
-					break
+				}
+				if !Better(d2, d1) {
+					wantExt.Add(c2)
 				}
 			}
 		}
-		got := Caution(c1)
-		if len(got) != len(want) {
-			t.Errorf("Caution(%v) = %v, want %v", c1, got, want)
-			continue
+		if got := Caution(c1); got != want {
+			t.Errorf("Caution(%v) = %v (%#04x), want %v (%#04x)", c1, got, uint16(got), want, uint16(want))
 		}
-		for c := range want {
-			if !got.Has(c) {
-				t.Errorf("Caution(%v) missing %v", c1, c)
-			}
+		if got := CautionExtended(c1); got != wantExt {
+			t.Errorf("CautionExtended(%v) = %v (%#04x), want %v (%#04x)", c1, got, uint16(got), wantExt, uint16(wantExt))
 		}
 	}
 }
@@ -107,7 +107,7 @@ func TestCautionMatchesDefinition(t *testing.T) {
 // structural connectors; and nothing can be in the caution set of the
 // maximal connector @>.
 func TestCautionExamples(t *testing.T) {
-	if len(Caution(CIsa)) != 0 {
+	if Caution(CIsa) != 0 {
 		t.Errorf("Caution(@>) = %v, want empty", Caution(CIsa))
 	}
 	if !Caution(CHasPart).Has(CMayBe) {
@@ -174,7 +174,7 @@ func TestDistributivityFails(t *testing.T) {
 func TestCautionExtended(t *testing.T) {
 	for _, c := range All() {
 		ext := CautionExtended(c)
-		for b := range Caution(c) {
+		for _, b := range Caution(c).Slice() {
 			if !ext.Has(b) {
 				t.Errorf("CautionExtended(%v) missing paper-caution member %v", c, b)
 			}
@@ -191,7 +191,7 @@ func TestCautionExtended(t *testing.T) {
 	if !Caution(CSharesSub).Has(CAssoc) {
 		t.Errorf("Caution(.SB) = %v, want it to contain . via the equal-result witness", Caution(CSharesSub))
 	}
-	if n := len(CautionExtended(CIsa)); n != 0 {
+	if n := CautionExtended(CIsa).Len(); n != 0 {
 		t.Errorf("CautionExtended(@>) has %d members, want 0", n)
 	}
 }
@@ -203,7 +203,7 @@ func TestSetOps(t *testing.T) {
 		t.Errorf("membership wrong in %v", s)
 	}
 	s.Add(CHasPart)
-	if !s.Has(CHasPart) {
+	if !s.Has(CHasPart) || s.Len() != 3 {
 		t.Error("Add failed")
 	}
 	if !s.Intersects(NewSet(CHasPart)) {
@@ -217,6 +217,24 @@ func TestSetOps(t *testing.T) {
 	}
 	if got := NewSet(CAssoc, CIsa).String(); got != "{., @>}" {
 		t.Errorf("Set.String() = %q, want %q", got, "{., @>}")
+	}
+	// Every member of Σ has its own bit, and a plain connector is
+	// distinct from its Possibly version.
+	var u Set
+	for _, c := range All() {
+		if u.Has(c) {
+			t.Errorf("%v shares a bit with an earlier connector", c)
+		}
+		u.Add(c)
+	}
+	if u.Len() != 14 || len(u.Slice()) != 14 {
+		t.Errorf("the set of all of Σ has %d members, want 14", u.Len())
+	}
+	if NewSet(CAssoc).Has(CPossiblyAssoc) {
+		t.Error(". and .* share a bit")
+	}
+	if (Set(0xffff)).Has(Connector{Kind: numKinds}) {
+		t.Error("an invalid connector is a member of the full mask")
 	}
 }
 

@@ -197,15 +197,11 @@ func patHash(p *pattern) uint64 {
 	return h
 }
 
-// getEngine takes a recycled engine from the pool (or builds one) and
-// prepares it for a search of cp under the completer's options.
-func (c *Completer) getEngine(ctx context.Context, cp *compiled) *engine {
-	return c.getEngineFor(ctx, cp.pat, cp)
-}
-
-// getEngineFor is getEngine with an explicit pattern, for callers that
-// share one compiled index across patterns differing only in root (the
-// transition rows are root-independent; see newCompiled).
+// getEngineFor takes a recycled engine from the pool (or builds one)
+// and prepares it for a search of pat over cp under the completer's
+// options. pat is explicit because callers may share one compiled index
+// across patterns differing only in root (the transition rows are
+// root-independent; see newCompiled).
 func (c *Completer) getEngineFor(ctx context.Context, pat *pattern, cp *compiled) *engine {
 	en, _ := c.pool.Get().(*engine)
 	if en == nil {

@@ -25,6 +25,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -281,14 +282,18 @@ type Result struct {
 	// Support is the union of the edge sets of every path found with an
 	// optimal label, taken BEFORE preemption, specificity filtering, and
 	// truncation — so it covers witnesses of Best that Completions does
-	// not carry. It is the invalidation footprint of the answer: as long
-	// as the schema's classes are unchanged, no edges were added, and no
-	// Support edge was removed or re-labeled, the answer (Completions,
-	// order, labels, and Best) is still exactly correct — removals
-	// elsewhere only shrink Ψ without touching any optimal-key witness.
-	// A Truncated or Aborted result's Support is incomplete and must not
-	// be used for reuse decisions. Nil for merged (frontier) results and
-	// results restored from durable snapshots.
+	// not carry. Under the exact search (DisableBestU) it is the
+	// invalidation footprint of the answer: as long as the schema's
+	// classes are unchanged, no edges were added, and no Support edge
+	// was removed or re-labeled, the answer (Completions, order, labels,
+	// and Best) is still exactly correct — removals elsewhere only
+	// shrink Ψ without touching any optimal-key witness. Under best[u]
+	// pruning it is not: a removed edge outside Support can unblock a
+	// pruned prefix and change the answer (see closure.BuildReusing). A
+	// Truncated or Aborted result's Support is incomplete and must not
+	// be used for reuse decisions. Nil for merged (frontier) results;
+	// results restored from durable snapshots carry it (persisted since
+	// PCSNAP02).
 	Support EdgeSet
 }
 
@@ -593,13 +598,7 @@ func annotate(s *schema.Schema, pat *pattern) error {
 				return fmt.Errorf("core: gap constraint %q: %w", seg.constraint, err)
 			}
 			if first == nil {
-				rels := s.Rels()
-				first = make([]string, len(rels))
-				rest = make([]string, len(rels))
-				for _, rel := range rels {
-					first[rel.ID] = rel.Name
-					rest[rel.ID] = rel.Conn.String() + rel.Name
-				}
+				first, rest = vocabulary(s)
 			}
 			m, err := gapre.Determinize(rx, first, rest)
 			if err != nil {
@@ -643,6 +642,36 @@ func annotate(s *schema.Schema, pat *pattern) error {
 		pat.totalCols = int(off)
 	}
 	return nil
+}
+
+// vocabulary returns the gap-spelling tokens of every schema edge, by
+// RelID: first[id] is the edge's name (its token as a gap's first
+// edge), rest[id] its connector symbol followed by its name. The rest
+// tokens are cut from one shared string, so a constrained query pays
+// three allocations for the vocabulary, not one per edge.
+func vocabulary(s *schema.Schema) (first, rest []string) {
+	n := s.NumRels()
+	first, rest = make([]string, n), make([]string, n)
+	size := 0
+	for id := 0; id < n; id++ {
+		rel := s.Rel(schema.RelID(id))
+		size += rel.Conn.StringLen() + len(rel.Name)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for id := 0; id < n; id++ {
+		rel := s.Rel(schema.RelID(id))
+		b.WriteString(rel.Conn.String())
+		b.WriteString(rel.Name)
+	}
+	spelled, off := b.String(), 0
+	for id := 0; id < n; id++ {
+		rel := s.Rel(schema.RelID(id))
+		end := off + rel.Conn.StringLen() + len(rel.Name)
+		first[id], rest[id] = rel.Name, spelled[off:end]
+		off = end
+	}
+	return first, rest
 }
 
 // predAdmits reports whether objects of class cls could ever satisfy

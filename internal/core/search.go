@@ -90,7 +90,6 @@ type engine struct {
 
 // newEngine builds a fresh, unpooled engine — the construction path of
 // the naive enumerator and of the noCompile reference configuration.
-// The serving path goes through Completer.getEngine instead.
 func newEngine(ctx context.Context, s *schema.Schema, pat *pattern, opts Options) *engine {
 	en := &engine{s: s, visited: make([]bool, s.NumClasses())}
 	en.prepare(ctx, pat, nil, opts)

@@ -20,8 +20,9 @@
 // same semantics:
 //
 //   - Regex/Machine: an NFA simulation over regexp/syntax programs,
-//     determinized eagerly into a dense token-indexed table (the form
-//     the search kernel products into its compiled CSR traversal);
+//     memoized per (pending set, rune) and determinized eagerly into a
+//     dense token-indexed table (the form the search kernel products
+//     into its compiled CSR traversal);
 //   - Ref: the stdlib regexp engine full-matching the spelled-out
 //     fragment string (the post-filter the differential oracle uses).
 //
@@ -30,11 +31,12 @@
 package gapre
 
 import (
+	"encoding/binary"
 	"fmt"
 	"regexp"
 	"regexp/syntax"
-	"sort"
-	"strings"
+	"slices"
+	"unicode/utf8"
 )
 
 // MaxStates bounds the determinized automaton. Gap constraints are
@@ -89,109 +91,215 @@ func findUnsupported(re *syntax.Regexp) string {
 	return ""
 }
 
-// pcSet is a sorted set of program counters: the *pending* threads of
-// an NFA state, i.e. the instructions just past each consumed rune
-// (or the program start). Empty-width resolution is deferred to the
-// moment the set is used, because the applicable flags (begin of
-// text, interior, end of text) depend on how the set is used, not on
-// how it was produced.
-type pcSet []uint32
-
-func (s pcSet) key() string {
-	var b strings.Builder
-	for _, pc := range s {
-		fmt.Fprintf(&b, "%d,", pc)
-	}
-	return b.String()
-}
-
-// resolve expands the pending set through empty-width instructions
-// satisfiable under flags, returning the set of rune/match
-// instructions live at this position.
-func (rx *Regex) resolve(pending pcSet, flags syntax.EmptyOp) pcSet {
-	seen := make([]bool, len(rx.prog.Inst))
-	var out pcSet
-	var follow func(pc uint32)
-	follow = func(pc uint32) {
-		if seen[pc] {
-			return
-		}
-		seen[pc] = true
-		i := &rx.prog.Inst[pc]
-		switch i.Op {
-		case syntax.InstFail:
-		case syntax.InstAlt, syntax.InstAltMatch:
-			follow(i.Out)
-			follow(i.Arg)
-		case syntax.InstCapture, syntax.InstNop:
-			follow(i.Out)
-		case syntax.InstEmptyWidth:
-			if syntax.EmptyOp(i.Arg)&^flags == 0 {
-				follow(i.Out)
-			}
-		default: // InstMatch, InstRune*
-			out = append(out, pc)
-		}
-	}
-	for _, pc := range pending {
-		follow(pc)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
 const (
 	beginFlags = syntax.EmptyBeginText | syntax.EmptyBeginLine
 	endFlags   = syntax.EmptyEndText | syntax.EmptyEndLine
 )
 
-// stepString consumes the runes of s from the pending set, returning
-// the new pending set (nil means the automaton died). atBegin marks
-// the set as the initial one, whose first rune sits at position 0 of
-// the whole input.
-func (rx *Regex) stepString(pending pcSet, s string, atBegin bool) pcSet {
-	for _, r := range s {
-		flags := syntax.EmptyOp(0)
-		if atBegin {
-			flags = beginFlags
-			atBegin = false
+// Sentinels of the simulation's memo tables (set IDs are >= 0).
+const (
+	deadSet    int32 = -1 // the step kills every thread
+	unknownSet int32 = -2 // not computed yet
+)
+
+// nfa is the NFA simulation behind Determinize. Its states are the
+// *pending* sets of the program: sorted sets of program counters just
+// past each consumed rune (or the program start). Empty-width
+// resolution is deferred to the moment a set is used, because the
+// applicable flags (begin of text, interior, end of text) depend on
+// how the set is used, not on how it was produced.
+//
+// Every pending set is interned to a dense ID under a binary key, and
+// every (set, begin-flag, rune) step is computed once and memoized — a
+// dense row per (set, begin-flag) for ASCII runes, a map beyond.
+// Determinize spells each of a schema's hundreds of tokens from every
+// DFA state, so after the first few tokens almost every rune is a
+// table read.
+type nfa struct {
+	prog *syntax.Prog
+
+	ids map[string]int32 // binary key of a pending set → set ID
+	pcs []uint32         // members of every set, concatenated
+	off []int32          // set i is pcs[off[i]:off[i+1]]
+
+	rowOf []int32          // per set*2+begin: offset into rows, or -1
+	rows  []int32          // ASCII step rows of utf8.RuneSelf entries
+	wide  map[uint64]int32 // other steps, keyed set<<33 | begin<<32 | rune
+
+	// Scratch reused by every step: the epoch-stamped visited marks of
+	// resolve (seen[pc] == epoch means visited in this resolution), its
+	// work stack and output, and the successor set and its key.
+	seen  []uint32
+	epoch uint32
+	stack []uint32
+	live  []uint32
+	succ  []uint32
+	key   []byte
+}
+
+func newNFA(prog *syntax.Prog) *nfa {
+	return &nfa{
+		prog: prog,
+		ids:  map[string]int32{},
+		off:  []int32{0},
+		seen: make([]uint32, len(prog.Inst)),
+	}
+}
+
+// set returns the members of pending set id.
+func (n *nfa) set(id int32) []uint32 { return n.pcs[n.off[id]:n.off[id+1]] }
+
+// intern returns the ID of the sorted, duplicate-free pending set pcs,
+// assigning the next dense ID on first sight.
+func (n *nfa) intern(pcs []uint32) int32 {
+	n.key = n.key[:0]
+	for _, pc := range pcs {
+		n.key = binary.LittleEndian.AppendUint32(n.key, pc)
+	}
+	if id, ok := n.ids[string(n.key)]; ok {
+		return id
+	}
+	id := int32(len(n.off) - 1)
+	n.ids[string(n.key)] = id
+	n.pcs = append(n.pcs, pcs...)
+	n.off = append(n.off, int32(len(n.pcs)))
+	n.rowOf = append(n.rowOf, -1, -1)
+	return id
+}
+
+// resolve expands the pending set through empty-width instructions
+// satisfiable under flags, returning (in n.live, in no particular
+// order) the rune and match instructions live at this position.
+func (n *nfa) resolve(pending []uint32, flags syntax.EmptyOp) []uint32 {
+	n.epoch++
+	if n.epoch == 0 { // wrapped: stale stamps could alias the new epoch
+		clear(n.seen)
+		n.epoch = 1
+	}
+	n.live = n.live[:0]
+	n.stack = append(n.stack[:0], pending...)
+	for len(n.stack) > 0 {
+		pc := n.stack[len(n.stack)-1]
+		n.stack = n.stack[:len(n.stack)-1]
+		if n.seen[pc] == n.epoch {
+			continue
 		}
-		live := rx.resolve(pending, flags)
-		var next pcSet
-		for _, pc := range live {
-			i := &rx.prog.Inst[pc]
-			switch i.Op {
-			case syntax.InstRune, syntax.InstRune1, syntax.InstRuneAny, syntax.InstRuneAnyNotNL:
-				if i.MatchRune(r) {
-					next = append(next, i.Out)
-				}
+		n.seen[pc] = n.epoch
+		i := &n.prog.Inst[pc]
+		switch i.Op {
+		case syntax.InstFail:
+		case syntax.InstAlt, syntax.InstAltMatch:
+			n.stack = append(n.stack, i.Arg, i.Out)
+		case syntax.InstCapture, syntax.InstNop:
+			n.stack = append(n.stack, i.Out)
+		case syntax.InstEmptyWidth:
+			if syntax.EmptyOp(i.Arg)&^flags == 0 {
+				n.stack = append(n.stack, i.Out)
+			}
+		default: // InstMatch, InstRune*
+			n.live = append(n.live, pc)
+		}
+	}
+	return n.live
+}
+
+// spell consumes the runes of tok from set id, returning the pending
+// set reached, or deadSet. begin marks tok's first rune as the first
+// rune of the whole input. Memoized ASCII steps are read inline; a
+// miss, or a wider rune, goes through step.
+func (n *nfa) spell(id int32, begin bool, tok string) int32 {
+	for _, r := range tok {
+		next := unknownSet
+		if r < utf8.RuneSelf {
+			if row := n.rowOf[2*id+flagBit(begin)]; row >= 0 {
+				next = n.rows[row+r]
 			}
 		}
-		if len(next) == 0 {
-			return nil
+		if next == unknownSet {
+			next = n.step(id, begin, r)
 		}
-		sort.Slice(next, func(a, b int) bool { return next[a] < next[b] })
-		next = dedupPCs(next)
-		pending = next
+		if next == deadSet {
+			return deadSet
+		}
+		id, begin = next, false
 	}
-	return pending
+	return id
 }
 
-func dedupPCs(s pcSet) pcSet {
-	out := s[:0]
-	for i, pc := range s {
-		if i == 0 || pc != s[i-1] {
-			out = append(out, pc)
-		}
+func flagBit(begin bool) int32 {
+	if begin {
+		return 1
 	}
-	return out
+	return 0
 }
 
-// accepting reports whether the pending set, resolved at end of
-// input, contains the match instruction.
-func (rx *Regex) accepting(pending pcSet) bool {
-	for _, pc := range rx.resolve(pending, endFlags) {
-		if rx.prog.Inst[pc].Op == syntax.InstMatch {
+// unknownRow is a fresh ASCII step row: nothing computed yet.
+var unknownRow = func() (row [utf8.RuneSelf]int32) {
+	for i := range row {
+		row[i] = unknownSet
+	}
+	return row
+}()
+
+// step returns the pending set after consuming rune r from set id, or
+// deadSet, through the memo: it computes the step on a miss, records
+// it, and allocates the (set, begin-flag) ASCII row on first use.
+func (n *nfa) step(id int32, begin bool, r rune) int32 {
+	if r >= utf8.RuneSelf {
+		k := uint64(id)<<33 | uint64(flagBit(begin))<<32 | uint64(uint32(r))
+		if next, ok := n.wide[k]; ok {
+			return next
+		}
+		next := n.compute(id, begin, r)
+		if n.wide == nil {
+			n.wide = map[uint64]int32{}
+		}
+		n.wide[k] = next
+		return next
+	}
+	slot := 2*id + flagBit(begin)
+	if n.rowOf[slot] < 0 {
+		n.rowOf[slot] = int32(len(n.rows))
+		n.rows = append(n.rows, unknownRow[:]...)
+	}
+	// compute may intern new sets, growing rowOf but never rows, so
+	// the slot's row offset stays valid across the call.
+	next := n.compute(id, begin, r)
+	n.rows[n.rowOf[slot]+r] = next
+	return next
+}
+
+// compute runs one uncached step of the simulation.
+func (n *nfa) compute(id int32, begin bool, r rune) int32 {
+	flags := syntax.EmptyOp(0)
+	if begin {
+		flags = beginFlags
+	}
+	n.succ = n.succ[:0]
+	for _, pc := range n.resolve(n.set(id), flags) {
+		i := &n.prog.Inst[pc]
+		switch i.Op {
+		case syntax.InstRune, syntax.InstRune1, syntax.InstRuneAny, syntax.InstRuneAnyNotNL:
+			if i.MatchRune(r) {
+				n.succ = append(n.succ, i.Out)
+			}
+		}
+	}
+	if len(n.succ) == 0 {
+		return deadSet
+	}
+	slices.Sort(n.succ)
+	n.succ = slices.Compact(n.succ)
+	return n.intern(n.succ)
+}
+
+// accepting reports whether set id, resolved at end of input, contains
+// the match instruction. Determinize asks once per DFA state, and a set
+// backs at most one state besides the initial one, so this needs no
+// memo.
+func (n *nfa) accepting(id int32) bool {
+	for _, pc := range n.resolve(n.set(id), endFlags) {
+		if n.prog.Inst[pc].Op == syntax.InstMatch {
 			return true
 		}
 	}
@@ -263,41 +371,45 @@ func Determinize(rx *Regex, first, rest []string) (*Machine, error) {
 		return nil, fmt.Errorf("gapre: mismatched vocabularies (%d vs %d)", len(first), len(rest))
 	}
 	numSyms := len(first)
-	m := &Machine{numSyms: numSyms}
-	start := pcSet{uint32(rx.prog.Start)}
+	n := newNFA(rx.prog)
+	start := n.intern([]uint32{uint32(rx.prog.Start)})
 
-	// State 0 is the initial state; later states are interned by
-	// pending-set key. A later state whose set happens to equal the
-	// initial one still gets its own ID: its tokens spell the
-	// connector prefix, the initial state's do not.
-	states := []pcSet{start}
-	ids := map[string]int32{}
-	m.next = append(m.next, make([]int32, numSyms)...)
-	m.accept = append(m.accept, rx.accepting(start))
-
+	// State 0 is the initial state; later states are keyed by pending
+	// set. A later state whose set happens to equal the initial one
+	// still gets its own ID: its tokens spell the connector prefix, the
+	// initial state's do not. stateOf[set] is that later state's ID, 0
+	// while the set has none (no later state has ID 0).
+	states := []int32{start}
+	var stateOf []int32
+	m := &Machine{
+		numSyms: numSyms,
+		next:    make([]int32, numSyms),
+		accept:  []bool{n.accepting(start)},
+	}
 	for q := 0; q < len(states); q++ {
-		pending := states[q]
 		toks := rest
 		if q == 0 {
 			toks = first
 		}
-		for sym := 0; sym < numSyms; sym++ {
-			nx := rx.stepString(pending, toks[sym], q == 0)
-			if nx == nil {
+		for sym, tok := range toks {
+			set := n.spell(states[q], q == 0, tok)
+			if set == deadSet {
 				m.next[q*numSyms+sym] = Dead
 				continue
 			}
-			key := nx.key()
-			id, ok := ids[key]
-			if !ok {
+			if int(set) >= len(stateOf) {
+				stateOf = append(stateOf, make([]int32, int(set)+1-len(stateOf))...)
+			}
+			id := stateOf[set]
+			if id == 0 {
 				if len(states) >= MaxStates {
 					return nil, fmt.Errorf("gap constraint %q: automaton exceeds %d states over this schema", rx.src, MaxStates)
 				}
 				id = int32(len(states))
-				ids[key] = id
-				states = append(states, nx)
+				stateOf[set] = id
+				states = append(states, set)
 				m.next = append(m.next, make([]int32, numSyms)...)
-				m.accept = append(m.accept, rx.accepting(nx))
+				m.accept = append(m.accept, n.accepting(set))
 			}
 			m.next[q*numSyms+sym] = id
 		}

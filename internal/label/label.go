@@ -274,16 +274,6 @@ func In(k Key, ks []Key, e int) bool {
 	return false
 }
 
-// Conns collects the set of connectors appearing in ks, for
-// intersection with caution sets.
-func Conns(ks []Key) connector.Set {
-	s := make(connector.Set, len(ks))
-	for _, k := range ks {
-		s.Add(k.Conn)
-	}
-	return s
-}
-
 func dedup(ks []Key) []Key {
 	out := make([]Key, 0, len(ks))
 	seen := make(map[Key]bool, len(ks))

@@ -431,12 +431,3 @@ func TestIn(t *testing.T) {
 		t.Error("a label already in the set must be In (Section 4.2)")
 	}
 }
-
-// TestConns checks connector collection for caution intersection.
-func TestConns(t *testing.T) {
-	k := func(c string, f int) Key { return Key{Conn: connector.MustParse(c), SemLen: f} }
-	s := Conns([]Key{k("$>", 1), k("$>", 2), k(".", 1)})
-	if len(s) != 2 || !s.Has(connector.CHasPart) || !s.Has(connector.CAssoc) {
-		t.Errorf("Conns = %v", s)
-	}
-}

@@ -216,11 +216,25 @@ func TestReloadRacingPersist(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := sn.Generation()
+		gen, st := sn.Generation(), sn.ClosureStatus()
+		s, opts := sn.Schema(), sn.Completer().Options()
 		sn.Release()
 		f, err := ps.Load(name)
 		if err != nil || f == nil {
 			t.Fatalf("%s: durable file after churn: (%v, %v)", name, f, err)
+		}
+		if st.Restored {
+			// The last reload restored its closure from a file an
+			// earlier generation saved, and a restored closure is not
+			// saved again: the file must still describe the live schema
+			// and options, and be no newer than the live generation.
+			if err := f.Validate(name, s, opts); err != nil {
+				t.Errorf("%s: restored from a file that does not match the live snapshot: %v", name, err)
+			}
+			if f.Generation > gen {
+				t.Errorf("%s: file generation %d > live generation %d", name, f.Generation, gen)
+			}
+			continue
 		}
 		if f.Generation != gen {
 			t.Errorf("%s: file generation %d != live generation %d", name, f.Generation, gen)

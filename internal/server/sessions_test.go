@@ -29,6 +29,24 @@ import (
 // sessionURL rewrites an httptest base URL into the session endpoint.
 func sessionURL(ts *httptest.Server) string { return ts.URL + "/v1/sessions" }
 
+// waitSessionsClosed blocks until the server has released every
+// session slot. A client can read its last final frame before the
+// server ticks the finals counter — the counter moves only once the
+// frame is on the wire — but the handler releases the slot only after
+// session.Run has joined both of its loops, so every event of a closed
+// session has fired by then. Read session metrics after this, never
+// right after Close.
+func waitSessionsClosed(t *testing.T, sv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for sv.sessions.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("session slot never released: %d open", sv.sessions.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestSessionKeystrokesOverServer is the acceptance path end to end:
 // a scripted ta~n → ta~na → ta~nam session over the full handler
 // stack, with the refinement keystrokes demonstrably reusing the
@@ -77,6 +95,7 @@ func TestSessionKeystrokesOverServer(t *testing.T) {
 		t.Errorf("final engine = %q, want frontier", final.Engine)
 	}
 	c.Close()
+	waitSessionsClosed(t, sv)
 
 	if got := sv.met.sessionsTotal.Value(); got != 1 {
 		t.Errorf("sessionsTotal = %d, want 1", got)
@@ -132,13 +151,7 @@ func TestSessionCap(t *testing.T) {
 	}
 
 	c1.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for sv.sessions.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("session slot never released: %d open", sv.sessions.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitSessionsClosed(t, sv)
 	c2, err := sessiontest.Dial(sessionURL(ts), 5*time.Second)
 	if err != nil {
 		t.Fatalf("dial after release: %v", err)
@@ -281,12 +294,14 @@ func TestChaosSessions(t *testing.T) {
 	go func() {
 		defer close(reloaderDone)
 		for {
+			// Install before the first wait: the clients can all finish
+			// inside one 5 ms tick, and the drill must still reload.
+			reg.Install("university", uni.New(), nil)
+			reloads.Add(1)
 			select {
 			case <-stopLoad:
 				return
 			case <-time.After(5 * time.Millisecond):
-				reg.Install("university", uni.New(), nil)
-				reloads.Add(1)
 			}
 		}
 	}()
@@ -363,6 +378,7 @@ func TestSessionMetricsExposed(t *testing.T) {
 	}
 	c.Type(t, "ta~n")
 	c.Close()
+	waitSessionsClosed(t, sv)
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
