@@ -506,21 +506,28 @@ func BenchmarkColdstart(b *testing.B) {
 	})
 }
 
-// BenchmarkServerComplete measures the HTTP front end: a cold
-// completion (fresh server per iteration set, first request computes)
-// versus the memoized hot path an interactive loop sees.
+// BenchmarkServerComplete measures the HTTP front end through
+// /v1/complete: a cold completion (fresh server per iteration set,
+// first request computes) versus the memoized hot path an interactive
+// loop sees.
 func BenchmarkServerComplete(b *testing.B) {
 	body := `{"expr":"ta~name"}`
+	post := func(b *testing.B, base string) {
+		resp, err := http.Post(base+"/v1/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("POST /v1/complete: status %d", resp.StatusCode)
+		}
+	}
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sv := server.New(uni.New(), nil, core.Exact())
 			ts := httptest.NewServer(sv.Handler())
-			resp, err := http.Post(ts.URL+"/complete", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			post(b, ts.URL)
 			ts.Close()
 		}
 	})
@@ -528,19 +535,10 @@ func BenchmarkServerComplete(b *testing.B) {
 		sv := server.New(uni.New(), nil, core.Exact())
 		ts := httptest.NewServer(sv.Handler())
 		defer ts.Close()
-		// Warm the cache.
-		if resp, err := http.Post(ts.URL+"/complete", "application/json", strings.NewReader(body)); err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
+		post(b, ts.URL) // warm the cache
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			resp, err := http.Post(ts.URL+"/complete", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Fatal(err)
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
+			post(b, ts.URL)
 		}
 	})
 }

@@ -160,7 +160,7 @@ func parseFlags(args []string) (config, error) {
 	fs.DurationVar(&cfg.sessionDebounce, "session-debounce", server.DefaultSessionDebounce, "keystroke settle window per session: updates arriving within it coalesce into one search (negative: react to every keystroke immediately)")
 	fs.BoolVar(&cfg.closureOn, "closure", false, "warm a materialized all-pairs closure index per schema snapshot in the background; single-gap queries are served from it once ready")
 	fs.Int64Var(&cfg.closureMaxBytes, "closure-max-bytes", 256<<20, "byte budget across all live closure indexes and in-progress builds (0: unbounded); a build that would exceed it stops and the snapshot serves through the search kernel")
-	fs.IntVar(&cfg.closureWorkers, "closure-workers", 1, "concurrent background closure builds (>= 1)")
+	fs.IntVar(&cfg.closureWorkers, "closure-workers", 1, "concurrent snapshot closure builds (>= 1); each build uses every core")
 	fs.BoolVar(&cfg.persistOn, "persist", false, "durably persist each schema's compiled closure state to -data-dir when it finishes warming, and restore it (checksum- and schema-verified) on startup instead of recompiling; requires -closure and -data-dir")
 	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable state (created if absent; corrupt or stale snapshot files are moved to its quarantine/ subdirectory, never served)")
 	fs.Float64Var(&cfg.traceSample, "trace-sample", 0, "head-sample this fraction of requests into /v1/traces (0: only client-forced and tail-rule traces; 1: every request)")

@@ -1,12 +1,13 @@
 package closure
 
 // Builder is the background-warming side of the closure subsystem: a
-// bounded worker pool that materializes one Index per live schema
-// snapshot without ever blocking the serving path. The registry hands
-// every freshly installed snapshot to Warm and cancels the returned
-// Handle when the snapshot is superseded; queries consult the Handle
-// and fall through to the search kernel until (unless) the index is
-// ready.
+// bounded pool of snapshot builds that materializes one Index per live
+// schema snapshot without ever blocking the serving path. The bound
+// counts whole snapshot builds; each build spreads its own cells over
+// every P (BuildReusing). The registry hands every freshly installed
+// snapshot to Warm and cancels the returned Handle when the snapshot
+// is superseded; queries consult the Handle and fall through to the
+// search kernel until (unless) the index is ready.
 //
 // The Handle is a tiny three-state machine — building → ready, or
 // building/ready → disabled — with the transitions guarded by one
@@ -69,7 +70,7 @@ type Observer interface {
 	ClosureBuildFinished(schema string, outcome string, elapsed time.Duration, bytes int64)
 }
 
-// Builder owns the worker pool and the byte budget shared by every
+// Builder owns the build slots and the byte budget shared by every
 // build and every live index it produced.
 type Builder struct {
 	sem    chan struct{}
@@ -78,8 +79,8 @@ type Builder struct {
 }
 
 // NewBuilder returns a Builder running at most workers concurrent
-// builds (minimum 1) against a shared budget of maxBytes (<= 0:
-// unbounded). obs may be nil.
+// snapshot builds (minimum 1), each on every P, against a shared
+// budget of maxBytes (<= 0: unbounded). obs may be nil.
 func NewBuilder(workers int, maxBytes int64, obs Observer) *Builder {
 	if workers < 1 {
 		workers = 1
@@ -152,11 +153,11 @@ func (b *Builder) WarmReusing(name string, gen uint64, cmp *core.Completer, prev
 	return h
 }
 
-// build is the worker body: acquire a pool slot, run Build (or
-// BuildReusing), publish under the Handle's lock.
+// build is the body of one snapshot build: acquire a pool slot, run
+// BuildReusing, publish under the Handle's lock.
 func (b *Builder) build(ctx context.Context, h *Handle, name string, gen uint64, cmp *core.Completer, prev *Index, prevSchema *schema.Schema) {
 	defer close(h.done)
-	// Wait for a worker slot — cancellable, so a superseded snapshot
+	// Wait for a build slot — cancellable, so a superseded snapshot
 	// queued behind a long build never runs at all.
 	select {
 	case b.sem <- struct{}{}:
@@ -169,13 +170,7 @@ func (b *Builder) build(ctx context.Context, h *Handle, name string, gen uint64,
 		b.obs.ClosureBuildStarted(name)
 	}
 	start := time.Now()
-	var ix *Index
-	var err error
-	if prev != nil && prevSchema != nil {
-		ix, _, err = BuildReusing(ctx, name, gen, cmp, b.budget, prev, prevSchema)
-	} else {
-		ix, err = Build(ctx, name, gen, cmp, b.budget)
-	}
+	ix, _, err := BuildReusing(ctx, name, gen, cmp, b.budget, prev, prevSchema)
 	outcome := "ready"
 	switch {
 	case err == nil:

@@ -24,7 +24,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -214,54 +216,120 @@ func (b *Budget) Max() int64 {
 }
 
 // Build materializes the full all-pairs closure of the snapshot served
-// as (name, gen) by running cmp's kernel over every anchor × root.
-// Bytes are reserved against budget as cells materialize; on any error
-// — cancellation via ctx, or ErrBudget — the whole reservation is
-// released and no Index is returned. On success the returned Index
-// owns its reservation; the caller releases Index.Bytes() when the
-// snapshot retires.
+// as (name, gen): BuildReusing with no previous index.
 func Build(ctx context.Context, name string, gen uint64, cmp *core.Completer, budget *Budget) (*Index, error) {
+	ix, _, err := BuildReusing(ctx, name, gen, cmp, budget, nil, nil)
+	return ix, err
+}
+
+// BuildReusing materializes the all-pairs closure of the snapshot
+// served as (name, gen) by running cmp's kernel over every anchor ×
+// root, carrying over the cells of prev (built against prevSchema)
+// that reuse.go proves still correct. prev may be nil (a full build);
+// it is only read, and may belong to a superseded snapshot.
+//
+// Cells are independent, so runtime.GOMAXPROCS(0) workers fill the
+// anchor columns concurrently, each searching one column through one
+// compiled index (core.AllPairsGap). The index is assembled in anchor
+// order, so nothing in it depends on the worker count. The workers
+// search concurrently, so cmp must not carry a core.Tracer, which
+// serves one search at a time.
+//
+// Each filled column reserves its bytes against budget. On any error
+// in any worker (ErrBudget, a search error, or cancellation via ctx)
+// the other workers stop, the whole reservation is released and no
+// Index is returned; no worker outlives the call. On success the
+// returned Index owns its reservation; the caller releases
+// Index.Bytes() when the snapshot retires.
+func BuildReusing(ctx context.Context, name string, gen uint64, cmp *core.Completer, budget *Budget, prev *Index, prevSchema *schema.Schema) (*Index, *ReuseReport, error) {
 	start := time.Now()
-	s := cmp.Schema()
+	rep := &ReuseReport{}
+	reuse := planReuse(cmp, prev, prevSchema, rep)
+	anchors := core.GapAnchors(cmp.Schema())
+	cols := make([]column, len(anchors))
+
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var claimed atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(anchors)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(claimed.Add(1)) - 1; i < len(anchors); i = int(claimed.Add(1)) - 1 {
+				if err := cols[i].fill(ctx, cmp, budget, reuse, anchors[i]); err != nil {
+					cancel(err) // the first cause wins; later ones are no-ops
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
 	ix := &Index{
 		schemaName: name,
 		generation: gen,
-		byAnchor:   make(map[string][]*core.Result),
+		byAnchor:   make(map[string][]*core.Result, len(anchors)),
+		anchors:    len(anchors),
 	}
-	reserved := int64(0)
-	fail := func(err error) (*Index, error) {
-		budget.Release(reserved)
-		return nil, err
+	for i, col := range cols {
+		ix.byAnchor[anchors[i]] = col.cells
+		ix.bytes += col.bytes
+		rep.Reused += col.reused
+		rep.Rebuilt += col.rebuilt
 	}
-	for _, anchor := range core.GapAnchors(s) {
-		cells := make([]*core.Result, s.NumClasses())
-		var werr error
-		err := cmp.AllPairsGap(ctx, anchor, func(root schema.ClassID, res *core.Result) {
-			if werr != nil {
-				return
-			}
-			n := resultBytes(res)
-			if !budget.Reserve(n) {
-				werr = ErrBudget
-				return
-			}
-			reserved += n
-			cells[root] = res
-			ix.cells++
-		})
-		if err == nil {
-			err = werr
-		}
-		if err != nil {
-			if errors.Is(err, ErrBudget) || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return fail(err)
-			}
-			return fail(fmt.Errorf("closure: anchor %q: %w", anchor, err))
-		}
-		ix.byAnchor[anchor] = cells
-		ix.anchors++
+	if err := context.Cause(ctx); err != nil {
+		budget.Release(ix.bytes)
+		return nil, rep, err
 	}
-	ix.bytes = reserved
+	ix.cells = rep.Reused + rep.Rebuilt
+	ix.reused = rep.Reused
 	ix.elapsed = time.Since(start)
-	return ix, nil
+	return ix, rep, nil
+}
+
+// column is one anchor's share of a build: its cells, indexed by
+// ClassID, the bytes it reserved, and where its cells came from.
+type column struct {
+	cells           []*core.Result
+	bytes           int64
+	reused, rebuilt int
+}
+
+// fill materializes the cells of one anchor, the reusable ones first
+// and then one AllPairsGap sweep over the roots still empty, and
+// reserves their bytes.
+func (col *column) fill(ctx context.Context, cmp *core.Completer, budget *Budget, reuse func(schema.ClassID, string) *core.Result, anchor string) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	col.cells = make([]*core.Result, cmp.Schema().NumClasses())
+	if reuse != nil {
+		for root := range col.cells {
+			if res := reuse(schema.ClassID(root), anchor); res != nil {
+				col.cells[root] = res
+				col.reused++
+			}
+		}
+	}
+	err := cmp.AllPairsGap(ctx, anchor,
+		func(root schema.ClassID) bool { return col.cells[root] == nil },
+		func(root schema.ClassID, res *core.Result) {
+			col.cells[root] = res
+			col.rebuilt++
+		})
+	if err != nil {
+		return fmt.Errorf("closure: anchor %q: %w", anchor, err)
+	}
+	n := int64(0)
+	for _, res := range col.cells {
+		if res != nil {
+			n += resultBytes(res)
+		}
+	}
+	if !budget.Reserve(n) {
+		return ErrBudget
+	}
+	col.bytes = n
+	return nil
 }

@@ -12,7 +12,6 @@ package closure_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -201,44 +200,45 @@ func TestBudget(t *testing.T) {
 	}
 }
 
-// TestBuildBudgetExhausted: a build that cannot fit returns ErrBudget
-// and leaves the whole reservation released.
+// TestBuildBudgetExhausted: a build that cannot fit returns ErrBudget,
+// returns no index, leaves the whole reservation released and no
+// worker running — whether the budget runs out at the first column or
+// about halfway, on one P or on four.
 func TestBuildBudgetExhausted(t *testing.T) {
-	w, err := cupid.Generate(diffConfig(5))
+	s := cupid32(t)
+	cmp := core.New(s, core.Exact())
+	full, err := closure.Build(context.Background(), "x", 1, cmp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp := core.New(w.Schema, core.Exact())
-	b := closure.NewBudget(64) // smaller than a single cell's base cost
-	ix, err := closure.Build(context.Background(), "x", 1, cmp, b)
-	if !errors.Is(err, closure.ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if ix != nil {
-		t.Error("partial index returned alongside ErrBudget")
-	}
-	if b.Used() != 0 {
-		t.Errorf("leaked reservation: used=%d", b.Used())
-	}
+	underProcs(t, func(t *testing.T) {
+		// 64 bytes is smaller than a single cell's base cost.
+		for _, max := range []int64{64, full.Bytes() / 2} {
+			b := closure.NewBudget(max)
+			failBuild(t, closure.ErrBudget, b, func() (*closure.Index, error) {
+				return closure.Build(context.Background(), "x", 1, cmp, b)
+			})
+		}
+	})
 }
 
 // TestBuildCancel: a cancelled context aborts the build with the
-// context error and no leaked reservation.
+// context error, no index, no leaked reservation and no worker left
+// running — whether it was cancelled before the build or after the
+// first column, on one P or on four.
 func TestBuildCancel(t *testing.T) {
-	w, err := cupid.Generate(diffConfig(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmp := core.New(w.Schema, core.Exact())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	b := closure.NewBudget(1 << 30)
-	if _, err := closure.Build(ctx, "x", 1, cmp, b); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if b.Used() != 0 {
-		t.Errorf("leaked reservation: used=%d", b.Used())
-	}
+	cmp := core.New(cupid32(t), core.Exact())
+	underProcs(t, func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		b := closure.NewBudget(1 << 30)
+		failBuild(t, context.Canceled, b, func() (*closure.Index, error) {
+			return closure.Build(ctx, "x", 1, cmp, b)
+		})
+		cancelMidBuild(t, b, func(ctx context.Context) (*closure.Index, error) {
+			return closure.Build(ctx, "x", 1, cmp, b)
+		})
+	})
 }
 
 // recObserver records build lifecycle events.

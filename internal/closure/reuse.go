@@ -39,19 +39,14 @@ package closure
 //     of the surviving best-key witnesses alone).
 //
 // Cells that fail any condition — and cells whose Support is absent or
-// incomplete (Truncated/Aborted) — are rebuilt through the serving
-// dispatch, exactly like Build. Cells restored from a durable snapshot
-// carry their Support (persisted since PCSNAP02) and are reused like
-// built ones. Reused cells keep the Stats and flags of the search that
-// originally produced them; differential validation therefore compares
-// the answer view (completions, order, labels, best set), never Stats.
+// incomplete (Truncated/Aborted) — are searched like the cells of a
+// full build. Cells restored from a durable snapshot carry their
+// Support (persisted since PCSNAP02) and are reused like built ones.
+// Reused cells keep the Stats and flags of the search that originally
+// produced them; differential validation therefore compares the answer
+// view (completions, order, labels, best set), never Stats.
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"time"
-
 	"pathcomplete/internal/core"
 	"pathcomplete/internal/label"
 	"pathcomplete/internal/pathexpr"
@@ -71,100 +66,36 @@ type ReuseReport struct {
 	Added, Removed int
 }
 
-// BuildReusing materializes the all-pairs closure for the snapshot
-// served as (name, gen) by cmp, reusing cells of prev — built against
-// prevSchema — whose support the schema diff did not touch, provided
-// cmp runs the exact search (see the soundness argument above). It is a
-// drop-in replacement for Build with the same budget and error
-// contract; prev may be nil (full build). prev is only read, never
-// mutated, and may belong to a superseded snapshot.
-func BuildReusing(ctx context.Context, name string, gen uint64, cmp *core.Completer, budget *Budget, prev *Index, prevSchema *schema.Schema) (*Index, *ReuseReport, error) {
-	start := time.Now()
-	next := cmp.Schema()
-	rep := &ReuseReport{}
-	var d *schema.SchemaDiff
-	if prev != nil && prevSchema != nil {
-		d = schema.Diff(prevSchema, next)
-		rep.Added, rep.Removed = len(d.Added), len(d.Removed)
-		rep.Eligible = cmp.Options().DisableBestU && d.ClassesEqual && len(d.Added) == 0
-	}
-	removed := core.NewEdgeSet(0)
-	if d != nil {
-		for _, id := range d.RemovedIDs {
-			removed.Add(id)
-		}
-	}
-
-	ix := &Index{
-		schemaName: name,
-		generation: gen,
-		byAnchor:   make(map[string][]*core.Result),
-	}
-	reserved := int64(0)
-	fail := func(err error) (*Index, *ReuseReport, error) {
-		budget.Release(reserved)
-		return nil, rep, err
-	}
-	reserve := func(res *core.Result) error {
-		n := resultBytes(res)
-		if !budget.Reserve(n) {
-			return ErrBudget
-		}
-		reserved += n
+// planReuse diffs prevSchema against cmp's schema and records the diff
+// in rep. When reuse is eligible it returns the function that carries
+// one cell over (nil when the cell must be searched); otherwise it
+// returns nil and the pass is a full build.
+func planReuse(cmp *core.Completer, prev *Index, prevSchema *schema.Schema, rep *ReuseReport) func(root schema.ClassID, anchor string) *core.Result {
+	if prev == nil || prevSchema == nil {
 		return nil
 	}
-	for _, anchor := range core.GapAnchors(next) {
-		cells := make([]*core.Result, next.NumClasses())
-		for _, cls := range next.Classes() {
-			if cls.Primitive {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return fail(err)
-			}
-			var res *core.Result
-			if rep.Eligible {
-				res = reuseCell(prev, d, next, cls.ID, anchor, removed)
-			}
-			if res != nil {
-				rep.Reused++
-			} else {
-				var err error
-				res, err = cmp.CompleteContext(ctx, pathexpr.Expr{
-					Root:  cls.Name,
-					Steps: []pathexpr.Step{{Gap: true, Name: anchor}},
-				})
-				if err != nil {
-					return fail(fmt.Errorf("closure: anchor %q root %q: %w", anchor, cls.Name, err))
-				}
-				if res.Aborted {
-					if errors.Is(ctx.Err(), context.Canceled) || errors.Is(ctx.Err(), context.DeadlineExceeded) {
-						return fail(ctx.Err())
-					}
-					return fail(fmt.Errorf("closure: anchor %q root %q: search aborted (%v)", anchor, cls.Name, res.StopReason))
-				}
-				rep.Rebuilt++
-			}
-			if err := reserve(res); err != nil {
-				return fail(err)
-			}
-			cells[cls.ID] = res
-			ix.cells++
-		}
-		ix.byAnchor[anchor] = cells
-		ix.anchors++
+	next := cmp.Schema()
+	d := schema.Diff(prevSchema, next)
+	rep.Added, rep.Removed = len(d.Added), len(d.Removed)
+	rep.Eligible = cmp.Options().DisableBestU && d.ClassesEqual && len(d.Added) == 0
+	if !rep.Eligible {
+		return nil
 	}
-	ix.reused = rep.Reused
-	ix.bytes = reserved
-	ix.elapsed = time.Since(start)
-	return ix, rep, nil
+	removed := core.NewEdgeSet(0)
+	for _, id := range d.RemovedIDs {
+		removed.Add(id)
+	}
+	return func(root schema.ClassID, anchor string) *core.Result {
+		return reuseCell(prev, d, next, root, anchor, removed)
+	}
 }
 
 // reuseCell returns the rehydrated previous cell for (root, anchor),
 // or nil when the cell cannot be soundly carried across the diff: it
 // is missing, its Support is unknown or incomplete, or a removed edge
 // intersects its Support. The caller has already established the
-// schema-wide conditions (classes equal, nothing added).
+// schema-wide conditions (classes equal, nothing added). It only reads
+// its arguments, so the build's workers call it concurrently.
 func reuseCell(prev *Index, d *schema.SchemaDiff, next *schema.Schema, root schema.ClassID, anchor string, removed core.EdgeSet) *core.Result {
 	old, ok := prev.Lookup(root, anchor)
 	if !ok || old.Support == nil || old.Truncated || old.Aborted {

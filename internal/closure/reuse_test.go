@@ -11,7 +11,6 @@ package closure_test
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"testing"
 
@@ -323,53 +322,81 @@ func TestBuildReusingNilPrev(t *testing.T) {
 }
 
 // TestBuildReusingBudget: the Build error contract carries over — a
-// budget too small for the grid fails with ErrBudget and releases the
-// whole reservation, even when cells were being reused.
+// budget too small for the grid, whether it runs out at the first
+// column or about halfway, fails with ErrBudget and releases the whole
+// reservation even when cells were being reused, on one P or on four.
 func TestBuildReusingBudget(t *testing.T) {
-	w, err := cupid.Generate(diffConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevSchema := w.Schema
-	cmp := core.New(prevSchema, core.Exact())
-	prev, err := closure.Build(context.Background(), "prev", 1, cmp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := rebuildWithout(t, prevSchema, nil, nil)
-	b := closure.NewBudget(64)
-	ix, _, err := closure.BuildReusing(context.Background(), "next", 2, core.New(next, core.Exact()), b, prev, prevSchema)
-	if !errors.Is(err, closure.ErrBudget) {
-		t.Fatalf("err = %v, want ErrBudget", err)
-	}
-	if ix != nil {
-		t.Error("partial index returned alongside ErrBudget")
-	}
-	if b.Used() != 0 {
-		t.Errorf("budget still holds %d bytes after a failed build", b.Used())
-	}
-}
-
-// TestBuildReusingCancel: cancellation mid-grid surfaces the context
-// error and returns no index.
-func TestBuildReusingCancel(t *testing.T) {
-	w, err := cupid.Generate(diffConfig(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	prevSchema := w.Schema
+	prevSchema := cupid32(t)
 	prev, err := closure.Build(context.Background(), "prev", 1, core.New(prevSchema, core.Exact()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	next := rebuildWithout(t, prevSchema, nil, nil)
-	ix, _, err := closure.BuildReusing(ctx, "next", 2, core.New(next, core.Exact()), nil, prev, prevSchema)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	cmp := dropBusiestEdge(t, prev, prevSchema)
+	underProcs(t, func(t *testing.T) {
+		for _, max := range []int64{64, prev.Bytes() / 2} {
+			b := closure.NewBudget(max)
+			failBuild(t, closure.ErrBudget, b, func() (*closure.Index, error) {
+				ix, rep, err := closure.BuildReusing(context.Background(), "next", 2, cmp, b, prev, prevSchema)
+				if !rep.Eligible {
+					t.Errorf("report %+v: the removal-only diff should allow reuse", rep)
+				}
+				return ix, err
+			})
+		}
+	})
+}
+
+// TestBuildReusingCancel: cancellation before the pass or after its
+// first column surfaces the context error, returns no index, and leaves
+// no reservation or worker behind, on one P or on four.
+func TestBuildReusingCancel(t *testing.T) {
+	prevSchema := cupid32(t)
+	prev, err := closure.Build(context.Background(), "prev", 1, core.New(prevSchema, core.Exact()), nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ix != nil {
-		t.Error("index returned after cancellation")
+	cmp := dropBusiestEdge(t, prev, prevSchema)
+	underProcs(t, func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		b := closure.NewBudget(0)
+		failBuild(t, context.Canceled, b, func() (*closure.Index, error) {
+			ix, _, err := closure.BuildReusing(ctx, "next", 2, cmp, b, prev, prevSchema)
+			return ix, err
+		})
+		cancelMidBuild(t, b, func(ctx context.Context) (*closure.Index, error) {
+			ix, _, err := closure.BuildReusing(ctx, "next", 2, cmp, b, prev, prevSchema)
+			return ix, err
+		})
+	})
+}
+
+// dropBusiestEdge re-declares prevSchema without the edge pair that the
+// most cells of prev depend on, so a reusing pass over the result both
+// carries cells over and searches a large share of them, and returns
+// an exact Completer over the new schema.
+func dropBusiestEdge(t *testing.T, prev *closure.Index, prevSchema *schema.Schema) *core.Completer {
+	t.Helper()
+	uses := make(map[schema.RelID]int)
+	prev.Walk(func(_ string, _ schema.ClassID, res *core.Result) {
+		if res.Support == nil {
+			return
+		}
+		for _, id := range res.Support.IDs() {
+			if rel := prevSchema.Rel(id); rel.Inv != schema.NoRel && rel.Inv < rel.ID {
+				id = rel.Inv // count both directions against the declared one
+			}
+			uses[id]++
+		}
+	})
+	busiest := schema.NoRel
+	for id, n := range uses {
+		if busiest == schema.NoRel || n > uses[busiest] || (n == uses[busiest] && id < busiest) {
+			busiest = id
+		}
 	}
+	if busiest == schema.NoRel {
+		t.Fatal("no cell of prev records a Support edge")
+	}
+	return core.New(rebuildWithout(t, prevSchema, map[schema.RelID]bool{busiest: true}, nil), core.Exact())
 }

@@ -53,8 +53,9 @@ func GapAnchors(s *schema.Schema) []string {
 	return out
 }
 
-// gapSegment compiles one ~anchor step against the schema — the same
-// derivation compile performs for a Step{Gap: true}.
+// gapSegment compiles one ~anchor step against the schema: the
+// derivation compile applies to every Step{Gap: true}, before its
+// constraint and predicate are attached.
 func gapSegment(s *schema.Schema, anchor string) (segment, error) {
 	seg := segment{kind: segGapName, name: anchor, class: schema.NoClass}
 	if cls, ok := s.ClassByName(anchor); ok {
@@ -68,19 +69,21 @@ func gapSegment(s *schema.Schema, anchor string) (segment, error) {
 }
 
 // AllPairsGap computes the single-gap completion `root ~ anchor` from
-// every non-primitive root class, invoking fn once per root in
-// ascending class order. One compiled transition index is built for
-// the anchor and shared across the whole sweep (the rows are
-// root-independent), and each cell runs through the same kernel
-// dispatch as an online query, so fn receives exactly the Result
-// Complete would have returned for that (root, anchor).
+// every non-primitive root class that want accepts (every one when
+// want is nil), invoking fn once per such root in ascending class
+// order. One compiled transition index is built for the anchor and
+// shared across the whole sweep (the rows are root-independent), and
+// each cell runs through the same kernel dispatch as an online query,
+// so fn receives exactly the Result Complete would have returned for
+// that (root, anchor). The index is not memoized: a sweep leaves the
+// Completer's pattern memo as it found it.
 //
 // The sweep is cancellable: when ctx is done, AllPairsGap stops and
 // returns the context's error without invoking fn for a partial cell.
 // Roots from which the anchor is unreachable still produce a cell (an
 // empty Result) — "no consistent completion" is itself the materialized
 // answer.
-func (c *Completer) AllPairsGap(ctx context.Context, anchor string, fn func(root schema.ClassID, res *Result)) error {
+func (c *Completer) AllPairsGap(ctx context.Context, anchor string, want func(root schema.ClassID) bool, fn func(root schema.ClassID, res *Result)) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -90,24 +93,25 @@ func (c *Completer) AllPairsGap(ctx context.Context, anchor string, fn func(root
 	}
 	segs := []segment{seg}
 	var cp *compiled
-	if !c.opts.noCompile {
-		// Root 0 is a placeholder: newCompiled derives rows for every
-		// class regardless of the pattern's root.
-		cp = newCompiled(c.s, &pattern{segs: segs}, c.opts)
-	}
 	for v := 0; v < c.s.NumClasses(); v++ {
+		cls := c.s.Class(schema.ClassID(v))
+		if cls.Primitive || (want != nil && !want(cls.ID)) {
+			continue
+		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cls := c.s.Class(schema.ClassID(v))
-		if cls.Primitive {
-			continue
-		}
 		pat := &pattern{root: cls.ID, segs: segs}
 		var res *Result
-		if cp == nil {
+		if c.opts.noCompile {
 			res = newEngine(ctx, c.s, pat, c.opts).run()
 		} else {
+			if cp == nil {
+				// Compiled at the first wanted root, so a sweep that
+				// wants none compiles nothing. newCompiled derives rows
+				// for every class whatever the pattern's root.
+				cp = newCompiled(c.s, pat, c.opts)
+			}
 			res = c.searchCompiled(ctx, pat, cp)
 		}
 		if res.Aborted {

@@ -561,13 +561,9 @@ func compile(s *schema.Schema, e pathexpr.Expr) (*pattern, error) {
 	pat := &pattern{root: rc.ID}
 	for _, st := range e.Steps {
 		if st.Gap {
-			seg := segment{kind: segGapName, name: st.Name, class: schema.NoClass}
-			if cls, ok := s.ClassByName(st.Name); ok {
-				seg.class = cls.ID
-			}
-			if seg.class == schema.NoClass && len(s.RelsNamed(st.Name)) == 0 {
-				return nil, fmt.Errorf("core: no relationship or class named %q anywhere in schema %s",
-					st.Name, s.Name())
+			seg, err := gapSegment(s, st.Name)
+			if err != nil {
+				return nil, err
 			}
 			seg.constraint = st.Constraint
 			seg.predSrc = st.Pred

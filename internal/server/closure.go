@@ -31,10 +31,11 @@ const (
 )
 
 // EnableClosure switches on background all-pairs warming for every
-// snapshot the registry serves, bounded by workers concurrent builds
-// and maxBytes resident index bytes (<= 0: unbounded). Build
-// lifecycle events feed the server's metrics. Call once at boot,
-// before serving traffic; returns the builder for introspection.
+// snapshot the registry serves, bounded by workers concurrent snapshot
+// builds (each of which uses every P) and maxBytes resident index
+// bytes (<= 0: unbounded). Build lifecycle events feed the server's
+// metrics. Call once at boot, before serving traffic; returns the
+// builder for introspection.
 func (sv *Server) EnableClosure(workers int, maxBytes int64) *closure.Builder {
 	b := closure.NewBuilder(workers, maxBytes, closureObserver{sv: sv})
 	sv.reg.EnableClosure(b)
