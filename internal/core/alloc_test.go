@@ -10,21 +10,22 @@ import (
 )
 
 // Allocation regression guards for the warm hot path (pooled engine,
-// memoized compiled index, no tracer, background context). The bounds
-// are deliberately loose — about 2x the measured steady state — so the
-// guard catches a regression back toward the pre-compilation engine
-// (hundreds of allocations per op) without flaking on small runtime
-// variations. The constrained lanes also pin the cost of compiling a
-// gap constraint, which no memo absorbs: a few dozen allocations for
-// the regex program, the edge vocabulary and the determinized table.
-// The file is excluded under -race: the race runtime adds bookkeeping
-// allocations that are not the engine's.
+// built base table, no tracer, background context). Every query
+// compiles its pattern's override rows, a handful of allocations. The
+// bounds are deliberately loose — about 2x the measured steady state —
+// so the guard catches a regression back toward the pre-compilation
+// engine (hundreds of allocations per op) without flaking on small
+// runtime variations. The constrained lanes also pin the cost of
+// compiling a gap constraint: a few dozen allocations for the regex
+// program, the edge vocabulary and the determinized table. The file is
+// excluded under -race: the race runtime adds bookkeeping allocations
+// that are not the engine's.
 
 // warmAllocs reports the steady-state allocations of one Complete call
 // on a warmed completer.
 func warmAllocs(t *testing.T, cmp *Completer, e pathexpr.Expr) float64 {
 	t.Helper()
-	for i := 0; i < 3; i++ { // warm the pool and the pattern memo
+	for i := 0; i < 3; i++ { // warm the pool and the base table
 		if _, err := cmp.Complete(e); err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,9 @@ package core
 //
 // The solver deliberately does NOT re-derive answers through a
 // different algorithm: every (root, anchor) cell is produced by the
-// exact same dispatch the serving path uses (searchCompiled — the
-// compiled sequential kernel, or the parallel root-branch search when
-// the options elect it), so a materialized cell is bit-for-bit the
+// exact same dispatch the serving path uses (search — the compiled
+// sequential kernel, or the parallel root-branch search when the
+// options elect it), so a materialized cell is bit-for-bit the
 // Result an online query would have computed, caution sets and the
 // Inheritance Semantics Criterion included. The differential suite in
 // internal/closure locks that equality over the oracle corpus.
@@ -61,7 +61,7 @@ func gapSegment(s *schema.Schema, anchor string) (segment, error) {
 	if cls, ok := s.ClassByName(anchor); ok {
 		seg.class = cls.ID
 	}
-	if seg.class == schema.NoClass && len(s.RelsNamed(anchor)) == 0 {
+	if seg.class == schema.NoClass && len(s.RelIDsNamed(anchor)) == 0 {
 		return segment{}, fmt.Errorf("core: no relationship or class named %q anywhere in schema %s",
 			anchor, s.Name())
 	}
@@ -71,12 +71,10 @@ func gapSegment(s *schema.Schema, anchor string) (segment, error) {
 // AllPairsGap computes the single-gap completion `root ~ anchor` from
 // every non-primitive root class that want accepts (every one when
 // want is nil), invoking fn once per such root in ascending class
-// order. One compiled transition index is built for the anchor and
-// shared across the whole sweep (the rows are root-independent), and
-// each cell runs through the same kernel dispatch as an online query,
-// so fn receives exactly the Result Complete would have returned for
-// that (root, anchor). The index is not memoized: a sweep leaves the
-// Completer's pattern memo as it found it.
+// order. The sweep compiles the anchor's index once and shares it, since
+// its rows do not depend on the root; each cell runs through the same
+// search as an online query, so fn receives exactly the Result Complete
+// would have returned for that (root, anchor).
 //
 // The sweep is cancellable: when ctx is done, AllPairsGap stops and
 // returns the context's error without invoking fn for a partial cell.
@@ -92,7 +90,7 @@ func (c *Completer) AllPairsGap(ctx context.Context, anchor string, want func(ro
 		return err
 	}
 	segs := []segment{seg}
-	var cp *compiled
+	cp := c.compiledFor(&pattern{segs: segs}) // the rows do not depend on the root
 	for v := 0; v < c.s.NumClasses(); v++ {
 		cls := c.s.Class(schema.ClassID(v))
 		if cls.Primitive || (want != nil && !want(cls.ID)) {
@@ -101,19 +99,7 @@ func (c *Completer) AllPairsGap(ctx context.Context, anchor string, want func(ro
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		pat := &pattern{root: cls.ID, segs: segs}
-		var res *Result
-		if c.opts.noCompile {
-			res = newEngine(ctx, c.s, pat, c.opts).run()
-		} else {
-			if cp == nil {
-				// Compiled at the first wanted root, so a sweep that
-				// wants none compiles nothing. newCompiled derives rows
-				// for every class whatever the pattern's root.
-				cp = newCompiled(c.s, pat, c.opts)
-			}
-			res = c.searchCompiled(ctx, pat, cp)
-		}
+		res := c.search(ctx, &pattern{root: cls.ID, segs: segs}, cp)
 		if res.Aborted {
 			// The context tripped mid-search (AllPairsGap itself sets no
 			// other bound): the cell is partial, so it must not be

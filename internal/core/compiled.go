@@ -2,18 +2,24 @@ package core
 
 // This file implements the compiled search kernel's schema index: the
 // admissible moves of every product-space state (class × pattern
-// segment), derived once per (schema, pattern, options) triple and
-// laid out as two CSR-style flat arrays. The per-visit work of
-// engine.transitions — out-edge filtering, gap/exclusion logic, and a
-// sort — becomes two slice-view lookups with no allocation. The
-// product space is known up front (the pattern is fixed for the whole
-// search, the schema for the whole Completer), so this is the classic
-// product-automaton precompilation of regular-path-query engines
-// applied to Algorithm 2.
+// segment) as slice views, so the per-visit work of engine.transitions
+// — out-edge filtering, gap/exclusion logic, and a sort — becomes a
+// lookup with no allocation. This is the product-automaton
+// precompilation of regular-path-query engines applied to Algorithm 2.
+//
+// The index has two layers. The base table, built once per Completer
+// on first use, holds every class's admissible out-edges as moves that
+// stay in the current segment: exactly what dynTransitions derives at
+// a gap state none of whose out-edges can end the gap, whatever the
+// pattern, the anchor or the segment position. Compiling a pattern
+// derives, through dynTransitions itself, override rows for only the
+// states that differ: a class with an edge that can end a segment.
+// Compiling therefore costs O(edges that end a segment), not
+// O(classes × segments × out-degree), so nothing is memoized per
+// pattern.
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
 	"pathcomplete/internal/schema"
@@ -29,16 +35,51 @@ var poolServed atomic.Uint64
 // engine checkouts.
 func EnginePoolServed() uint64 { return poolServed.Load() }
 
-// compiled is the flat transition index for one pattern over one
-// schema. Row r = int(class)*numSegs + seg holds the completing moves
+// baseTable is the pattern-independent layer of the index: row v,
+// moves[off[v]:off[v+1]], lists class v's out-edges in schema.Out order
+// as stay moves (step 0), without the edges into classes
+// Options.Exclude names. Primitive classes have empty rows: gaps never
+// pass through them.
+type baseTable struct {
+	off   []int32
+	moves []trans
+}
+
+func newBaseTable(s *schema.Schema, opts *Options) *baseTable {
+	b := &baseTable{off: make([]int32, s.NumClasses()+1), moves: make([]trans, 0, s.NumRels())}
+	for v := 0; v < s.NumClasses(); v++ {
+		if !s.Class(schema.ClassID(v)).Primitive {
+			for _, rid := range s.Out(schema.ClassID(v)) {
+				if rel := s.Rel(rid); !opts.Exclude[rel.To] {
+					b.moves = append(b.moves, trans{rel: rel})
+				}
+			}
+		}
+		b.off[v+1] = int32(len(b.moves))
+	}
+	return b
+}
+
+// baseTable returns the Completer's base table, building it on first
+// use so that New stays O(1).
+func (c *Completer) baseTable() *baseTable {
+	c.baseOnce.Do(func() { c.base = newBaseTable(c.s, &c.opts) })
+	return c.base
+}
+
+// compiled is the transition index of one pattern. row maps state
+// int(class)*numSegs+seg to 0 when the state takes its base row, and
+// to r+1 when it takes override row r: the completing moves
 // comps[compOff[r]:compOff[r+1]] and the ordinary children
-// kids[kidOff[r]:kidOff[r+1]], in exactly the order dynTransitions
-// produces (completions in schema.Out order, children sorted
-// best-edge-first) — the compiled and dynamic engines therefore
-// traverse identically.
+// kids[kidOff[r]:kidOff[r+1]], exactly as dynTransitions produces them
+// (completions in schema.Out order, children best-edge-first), so the
+// compiled and dynamic engines traverse identically. Override row 0 is
+// empty: it serves every class of an explicit segment that has no edge
+// of the step's name.
 type compiled struct {
-	pat     *pattern
+	base    *baseTable
 	numSegs int
+	row     []int32
 	compOff []int32
 	kidOff  []int32
 	comps   []trans
@@ -48,160 +89,93 @@ type compiled struct {
 // moves returns slice views into the index; callers must not modify
 // them.
 func (cp *compiled) moves(v schema.ClassID, seg int) (comps, kids []trans) {
-	row := int(v)*cp.numSegs + seg
-	return cp.comps[cp.compOff[row]:cp.compOff[row+1]],
-		cp.kids[cp.kidOff[row]:cp.kidOff[row+1]]
+	r := cp.row[int(v)*cp.numSegs+seg]
+	if r == 0 {
+		return nil, cp.base.moves[cp.base.off[v]:cp.base.off[v+1]]
+	}
+	return cp.comps[cp.compOff[r-1]:cp.compOff[r]], cp.kids[cp.kidOff[r-1]:cp.kidOff[r]]
 }
 
-// newCompiled builds the index by running the dynamic derivation once
-// per state. Construction is O(classes × segments × out-degree); the
-// arrays are immutable afterwards and shared by every search of the
-// owning Completer.
-func newCompiled(s *schema.Schema, pat *pattern, opts Options) *compiled {
-	numSegs := len(pat.segs)
-	rows := s.NumClasses() * numSegs
-	cp := &compiled{
-		pat:     pat,
-		numSegs: numSegs,
-		compOff: make([]int32, rows+1),
-		kidOff:  make([]int32, rows+1),
-	}
-	row := 0
-	for v := 0; v < s.NumClasses(); v++ {
-		for seg := 0; seg < numSegs; seg++ {
-			comps, kids := dynTransitions(s, pat, &opts, schema.ClassID(v), seg)
-			cp.comps = append(cp.comps, comps...)
-			cp.kids = append(cp.kids, kids...)
-			cp.compOff[row+1] = int32(len(cp.comps))
-			cp.kidOff[row+1] = int32(len(cp.kids))
-			row++
-		}
-	}
-	return cp
-}
-
-// maxCompiledPatterns bounds the per-Completer pattern memo. Real
-// workloads see a small set of expression shapes; past the bound,
-// searches still compile (and run at full speed) but the index is not
-// retained, so an adversarial stream of distinct expressions cannot
-// grow memory without bound.
-const maxCompiledPatterns = 512
-
-// patternMemo memoizes compiled indexes per pattern content, keyed by
-// an FNV hash with full equality verification on the bucket (hash
-// collisions cost a compare, never a wrong index).
-type patternMemo struct {
-	mu      sync.RWMutex
-	buckets map[uint64][]*compiled
-	n       int
-}
-
-func (m *patternMemo) lookup(h uint64, pat *pattern) *compiled {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for _, cp := range m.buckets[h] {
-		if patEqual(cp.pat, pat) {
-			return cp
-		}
-	}
-	return nil
-}
-
-// insert stores cp unless an equal pattern won the race, returning the
-// retained index either way.
-func (m *patternMemo) insert(h uint64, cp *compiled) *compiled {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, old := range m.buckets[h] {
-		if patEqual(old.pat, cp.pat) {
-			return old
-		}
-	}
-	if m.n >= maxCompiledPatterns {
-		return cp // full: serve the fresh index without retaining it
-	}
-	if m.buckets == nil {
-		m.buckets = make(map[uint64][]*compiled)
-	}
-	m.buckets[h] = append(m.buckets[h], cp)
-	m.n++
-	return cp
-}
-
-// drop releases every memoized index (see Completer.Close).
-func (m *patternMemo) drop() {
-	m.mu.Lock()
-	m.buckets = nil
-	m.n = 0
-	m.mu.Unlock()
-}
-
-// compiledFor returns the memoized index for pat, building it on first
-// use. Safe for concurrent use; the warm path is one hash and one
-// RLock'd bucket probe.
+// compiledFor builds pat's index over the Completer's base table. A state
+// needs an override row when its class has an edge able to end the
+// segment:
+//   - an edge of the segment's name (an explicit step, or a gap
+//     anchored on a relationship name);
+//   - an edge into the segment's class (a gap anchored on a class
+//     name, or the class-anchored form of CompleteToClass). Every edge
+//     has an inverse, so these classes are the targets of the class's
+//     own out-edges.
+//
+// A first pass marks those states and bounds their moves: at most one
+// stay move per out-edge of a gap state, and one advancing move per
+// edge able to end a segment. The second pass then fills the rows
+// without growing a slice. The index is immutable once built and may
+// be shared by concurrent searches.
 func (c *Completer) compiledFor(pat *pattern) *compiled {
-	h := patHash(pat)
-	if cp := c.memo.lookup(h, pat); cp != nil {
-		return cp
-	}
-	return c.memo.insert(h, newCompiled(c.s, pat, c.opts))
-}
-
-func patEqual(a, b *pattern) bool {
-	if a.root != b.root || len(a.segs) != len(b.segs) {
-		return false
-	}
-	for i := range a.segs {
-		x, y := &a.segs[i], &b.segs[i]
-		// Field-wise on identity, not struct equality: dfa and predOK
-		// are derived deterministically from (constraint, predSrc) over
-		// the Completer's fixed schema, so the sources alone decide
-		// pattern identity.
-		if x.kind != y.kind || x.conn != y.conn || x.name != y.name ||
-			x.class != y.class || x.constraint != y.constraint || x.predSrc != y.predSrc {
-			return false
+	s := c.s
+	numSegs := len(pat.segs)
+	cp := &compiled{base: c.baseTable(), numSegs: numSegs, row: make([]int32, s.NumClasses()*numSegs)}
+	const marked = -1
+	rows, numComps, numKids := 0, 0, 0
+	mark := func(v schema.ClassID, seg int) {
+		i := int(v)*numSegs + seg
+		if cp.row[i] == marked {
+			return
+		}
+		cp.row[i] = marked
+		rows++
+		if pat.segs[seg].kind != segExplicit {
+			numKids += len(s.Out(v))
 		}
 	}
-	return true
-}
-
-// patHash is FNV-1a over the pattern's content.
-func patHash(p *pattern) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(x uint64) {
-		h = (h ^ x) * prime64
-	}
-	mix(uint64(uint32(p.root)))
-	for _, sg := range p.segs {
-		mix(uint64(sg.kind))
-		mix(uint64(sg.conn.Kind))
-		if sg.conn.Possibly {
-			mix(1)
+	for seg := range pat.segs {
+		sg := &pat.segs[seg]
+		ends := 0
+		if sg.kind == segExplicit {
+			for v := 0; v < s.NumClasses(); v++ {
+				cp.row[v*numSegs+seg] = 1 // the empty row, unless marked below
+			}
+		}
+		if sg.kind != segGapClass {
+			named := s.RelIDsNamed(sg.name)
+			ends += len(named)
+			for _, rid := range named {
+				mark(s.Rel(rid).From, seg)
+			}
+		}
+		if sg.kind != segExplicit && sg.class != schema.NoClass {
+			out := s.Out(sg.class)
+			ends += len(out)
+			for _, rid := range out {
+				mark(s.Rel(rid).To, seg)
+			}
+		}
+		if seg == numSegs-1 {
+			numComps += ends
 		} else {
-			mix(0)
+			numKids += ends
 		}
-		for i := 0; i < len(sg.name); i++ {
-			mix(uint64(sg.name[i]))
-		}
-		mix(uint64(uint32(sg.class)))
-		for i := 0; i < len(sg.constraint); i++ {
-			mix(uint64(sg.constraint[i]))
-		}
-		mix(uint64(len(sg.constraint)))
-		for i := 0; i < len(sg.predSrc); i++ {
-			mix(uint64(sg.predSrc[i]))
-		}
-		mix(uint64(len(sg.predSrc)))
 	}
-	return h
+	off := make([]int32, 2*(rows+2))
+	cp.compOff, cp.kidOff = off[:rows+2], off[rows+2:]
+	cp.comps = make([]trans, 0, numComps)
+	cp.kids = make([]trans, 0, numKids)
+	r := int32(1)
+	for i, x := range cp.row {
+		if x != marked {
+			continue
+		}
+		cp.comps, cp.kids = appendTransitions(cp.comps, cp.kids, s, pat, &c.opts, schema.ClassID(i/numSegs), i%numSegs)
+		r++
+		cp.row[i] = r
+		cp.compOff[r], cp.kidOff[r] = int32(len(cp.comps)), int32(len(cp.kids))
+	}
+	return cp
 }
 
 // getEngineFor takes a recycled engine from the pool (or builds one)
 // and prepares it for a search of pat over cp under the completer's
-// options. pat is explicit because callers may share one compiled index
-// across patterns differing only in root (the transition rows are
-// root-independent; see newCompiled).
+// options.
 func (c *Completer) getEngineFor(ctx context.Context, pat *pattern, cp *compiled) *engine {
 	en, _ := c.pool.Get().(*engine)
 	if en == nil {

@@ -318,35 +318,23 @@ func (r *Result) Strings() []string {
 
 // Completer completes incomplete path expressions over one schema.
 // A Completer's configuration is immutable and it is safe for
-// concurrent use; internally it memoizes compiled transition indexes
-// per pattern and recycles search engines through a pool, so repeated
-// queries run allocation-free on the hot path.
+// concurrent use. Internally it keeps one pattern-independent base
+// table of transitions, built on first use, and compiles each query's
+// few override rows over it (see compiled.go); search engines are
+// recycled through a pool, so repeated queries run allocation-free on
+// the hot path.
 type Completer struct {
 	s    *schema.Schema
 	opts Options
 
-	memo patternMemo
-	pool *sync.Pool // *engine scratch, sized to s
+	baseOnce sync.Once
+	base     *baseTable // see baseTable; nil until the first search
+	pool     sync.Pool  // recycled *engine state, sized to s
 }
 
 // New returns a Completer for the given schema and options.
 func New(s *schema.Schema, opts Options) *Completer {
-	return &Completer{s: s, opts: opts, pool: &sync.Pool{}}
-}
-
-// Close releases the completer's recycled resources: the pooled search
-// engines and the memoized compiled transition indexes. It exists for
-// snapshot lifecycles (a schema registry that retires a superseded
-// generation once its refcount drains) where waiting for the garbage
-// collector to notice an unreferenced Completer would hold per-schema
-// index memory across many reloads. The Completer remains usable after
-// Close — subsequent searches simply recompile and repool — but Close
-// must not be called concurrently with an in-flight search on the same
-// Completer; a registry guarantees that by only closing drained
-// snapshots.
-func (c *Completer) Close() {
-	c.memo.drop()
-	c.pool = &sync.Pool{}
+	return &Completer{s: s, opts: opts}
 }
 
 // Schema returns the schema the completer searches.
@@ -404,26 +392,20 @@ func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	return c.search(ctx, pat), nil
+	return c.search(ctx, pat, nil), nil
 }
 
 // search dispatches one compiled-pattern search: the dynamic reference
-// engine under noCompile, the parallel root-branch search when
-// eligible, and otherwise a pooled engine over the memoized index.
-func (c *Completer) search(ctx context.Context, pat *pattern) *Result {
+// engine under noCompile, and otherwise a search over the index cp
+// (pat's own, compiled here, when cp is nil) by the parallel
+// root-branch search when eligible or by a pooled engine.
+func (c *Completer) search(ctx context.Context, pat *pattern, cp *compiled) *Result {
 	if c.opts.noCompile {
 		return newEngine(ctx, c.s, pat, c.opts).run()
 	}
-	return c.searchCompiled(ctx, pat, c.compiledFor(pat))
-}
-
-// searchCompiled runs one search of pat over the compiled transition
-// index cp, dispatching exactly as the serving path does (parallel
-// root-branch search when eligible, pooled engine otherwise). cp's
-// transition rows are root-independent (see newCompiled), so callers
-// sweeping many roots over one segment shape — the all-pairs closure
-// solver — share a single index across the sweep.
-func (c *Completer) searchCompiled(ctx context.Context, pat *pattern, cp *compiled) *Result {
+	if cp == nil {
+		cp = c.compiledFor(pat)
+	}
 	if c.parallelEligible(pat, cp) {
 		return c.runParallel(ctx, pat, cp)
 	}
@@ -458,7 +440,7 @@ func (c *Completer) CompleteToClassContext(ctx context.Context, root, target str
 		return nil, fmt.Errorf("core: unknown target class %q", target)
 	}
 	pat := &pattern{root: rc.ID, segs: []segment{{kind: segGapClass, class: tc.ID}}}
-	return c.search(ctx, pat), nil
+	return c.search(ctx, pat, nil), nil
 }
 
 // segKind discriminates pattern segments.
@@ -488,8 +470,8 @@ type segment struct {
 	// than as a post-filter. A constraint whose automaton accepts every
 	// non-empty fragment is dropped at compile time (dfa nil,
 	// constraint ""), which makes e.g. ~(.*)~name bit-for-bit identical
-	// to the unconstrained ~name — same pattern identity, same memoized
-	// index, same Stats.
+	// to the unconstrained ~name — same pattern, same compiled index,
+	// same Stats.
 	constraint string
 	dfa        *gapre.Machine
 	// predSrc is the canonical source of a [attr op literal] predicate

@@ -170,7 +170,7 @@ func enumerate(s *schema.Schema, pat *pattern, opts Options, limit int) ([]*path
 			}
 			en.visited[tr.rel.To] = true
 			en.path = append(en.path, tr.rel.ID)
-			ok := dfs(tr.rel.To, tr.toSeg)
+			ok := dfs(tr.rel.To, seg+tr.step)
 			en.path = en.path[:len(en.path)-1]
 			en.visited[tr.rel.To] = false
 			if !ok {

@@ -225,8 +225,9 @@ func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, t
 		en.stats.PrunedBestT++
 		return branchOut{stats: en.stats}
 	}
+	toSeg := tr.step // the root state is segment 0
 	if !en.opts.DisableBestU {
-		idx := int(u)*en.numSegs + tr.toSeg
+		idx := int(u)*en.numSegs + toSeg
 		en.dirty = append(en.dirty, int32(idx))
 		en.bestTab[idx] = label.Insert(en.bestTab[idx], key, en.e)
 	}
@@ -234,7 +235,7 @@ func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, t
 	en.path = append(en.path, tr.rel.ID)
 	// q = 0: constrained patterns never reach the parallel path (see
 	// parallelEligible), so every segment's automaton state is trivial.
-	en.traverse(u, tr.toSeg, 0, lu, label.Identity())
+	en.traverse(u, toSeg, 0, lu, label.Identity())
 	en.path = en.path[:len(en.path)-1]
 	en.visited[u] = false // restore the all-false pool invariant
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -18,11 +19,13 @@ import (
 // the dense row index int(cls)*numSegs+seg throughout (the best table
 // and the compiled transition index share the layout).
 
-// trans is one admissible move: traverse rel and advance to pattern
-// segment toSeg (toSeg == seg means the current ~ gap continues).
+// trans is one admissible move: traverse rel, then stay in the current
+// pattern segment (step 0: the ~ gap continues) or advance to the next
+// one (step 1). The step is relative, so one move serves a class at
+// every segment position (see baseTable).
 type trans struct {
-	rel   schema.Rel
-	toSeg int
+	rel  schema.Rel
+	step int
 }
 
 // foundEntry is one admitted complete path, kept in raw form during
@@ -229,10 +232,10 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 			break // unwind: no further exploration, keep what we have
 		}
 		tr := &kids[i]
-		u := tr.rel.To
+		u, toSeg := tr.rel.To, seg+tr.step
 		if en.visited[u] {
 			if en.tracer != nil {
-				en.tracer.OnPrune(PruneCycle, tr.rel, tr.toSeg, tlv)
+				en.tracer.OnPrune(PruneCycle, tr.rel, toSeg, tlv)
 			}
 			continue // line (8): acyclicity
 		}
@@ -243,17 +246,17 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 		nq := int32(0)
 		if d := en.pat.segs[seg].dfa; d != nil {
 			step := d.Step(q, int(tr.rel.ID))
-			if tr.toSeg == seg {
+			if tr.step == 0 {
 				if step == gapre.Dead {
 					if en.tracer != nil {
-						en.tracer.OnPrune(PruneConstraint, tr.rel, tr.toSeg, tlv)
+						en.tracer.OnPrune(PruneConstraint, tr.rel, toSeg, tlv)
 					}
 					continue
 				}
 				nq = step
 			} else if !d.Accepting(step) {
 				if en.tracer != nil {
-					en.tracer.OnPrune(PruneConstraint, tr.rel, tr.toSeg, tlv)
+					en.tracer.OnPrune(PruneConstraint, tr.rel, toSeg, tlv)
 				}
 				continue
 			}
@@ -268,7 +271,7 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 		if !en.opts.DisableBestT && !label.Fits(key, en.bestT, en.e) {
 			en.stats.PrunedBestT++
 			if en.tracer != nil {
-				en.tracer.OnPrune(PruneBestT, tr.rel, tr.toSeg, tlu)
+				en.tracer.OnPrune(PruneBestT, tr.rel, toSeg, tlu)
 			}
 			continue
 		}
@@ -276,10 +279,10 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 			// Lines (10)–(11): membership in AGG*({l_u} ∪ best[u]),
 			// optionally with one unit of semantic-length slack, with
 			// the caution-set escape hatch.
-			idx := int(u)*en.numSegs + tr.toSeg
+			idx := int(u)*en.numSegs + toSeg
 			if en.cols != nil {
-				idx = int(u)*en.totalCols + int(en.cols[tr.toSeg])
-				if tr.toSeg == seg {
+				idx = int(u)*en.totalCols + int(en.cols[toSeg])
+				if tr.step == 0 {
 					idx += int(nq)
 				}
 			}
@@ -296,7 +299,7 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 						ok = true
 						en.stats.CautionSaves++
 						if en.tracer != nil {
-							en.tracer.OnPrune(CautionSave, tr.rel, tr.toSeg, tlu)
+							en.tracer.OnPrune(CautionSave, tr.rel, toSeg, tlu)
 						}
 						break
 					}
@@ -305,7 +308,7 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 			if !ok {
 				en.stats.PrunedBestU++
 				if en.tracer != nil {
-					en.tracer.OnPrune(PruneBestU, tr.rel, tr.toSeg, tlu)
+					en.tracer.OnPrune(PruneBestU, tr.rel, toSeg, tlu)
 				}
 				continue
 			}
@@ -317,7 +320,7 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 		}
 		en.visited[u] = true
 		en.path = append(en.path, tr.rel.ID)
-		en.traverse(u, tr.toSeg, nq, lu, tlu)
+		en.traverse(u, toSeg, nq, lu, tlu)
 		en.path = en.path[:len(en.path)-1]
 		en.visited[u] = false
 	}
@@ -505,9 +508,15 @@ func (en *engine) transitions(v schema.ClassID, seg int) (comps, kids []trans) {
 // children. Children are returned best-edge-first (the sorted
 // children[] of Algorithm 2).
 func dynTransitions(s *schema.Schema, pat *pattern, opts *Options, v schema.ClassID, seg int) (comps, kids []trans) {
-	sgmt := pat.segs[seg]
+	return appendTransitions(nil, nil, s, pat, opts, v, seg)
+}
+
+// appendTransitions is dynTransitions appending to comps and kids.
+func appendTransitions(comps, kids []trans, s *schema.Schema, pat *pattern, opts *Options, v schema.ClassID, seg int) ([]trans, []trans) {
+	sgmt := &pat.segs[seg]
+	first := len(kids)
 	add := func(t trans) {
-		if t.toSeg == len(pat.segs) {
+		if seg+t.step == len(pat.segs) {
 			comps = append(comps, t)
 		} else {
 			kids = append(kids, t)
@@ -520,12 +529,12 @@ func dynTransitions(s *schema.Schema, pat *pattern, opts *Options, v schema.Clas
 			// attribute is predicate-false by construction, so the move
 			// is inadmissible.
 			if sgmt.predOK == nil || sgmt.predOK[rel.To] {
-				add(trans{rel: rel, toSeg: seg + 1})
+				add(trans{rel: rel, step: 1})
 			}
 		}
 	case segGapName, segGapClass:
 		if s.Class(v).Primitive {
-			return nil, nil // gaps never pass through primitive classes
+			return comps, kids // gaps never pass through primitive classes
 		}
 		for _, rid := range s.Out(v) {
 			rel := s.Rel(rid)
@@ -548,19 +557,19 @@ func dynTransitions(s *schema.Schema, pat *pattern, opts *Options, v schema.Clas
 				continue
 			}
 			if ends {
-				add(trans{rel: rel, toSeg: seg + 1})
+				add(trans{rel: rel, step: 1})
 			}
-			add(trans{rel: rel, toSeg: seg})
+			add(trans{rel: rel})
 		}
 	}
 	// Children in best-to-worst edge order with progress as a
 	// tiebreaker; schema.Out is already rank-sorted, but completions
 	// were filtered out above, and explicit segments yield one child.
-	sort.SliceStable(kids, func(i, j int) bool {
-		if ri, rj := kids[i].rel.Conn.Rank(), kids[j].rel.Conn.Rank(); ri != rj {
-			return ri < rj
+	slices.SortStableFunc(kids[first:], func(a, b trans) int {
+		if ra, rb := a.rel.Conn.Rank(), b.rel.Conn.Rank(); ra != rb {
+			return ra - rb
 		}
-		return kids[i].toSeg > kids[j].toSeg
+		return b.step - a.step
 	})
 	return comps, kids
 }

@@ -235,7 +235,7 @@ func toFloat(v any) (float64, bool) {
 }
 
 // Canon renders the predicate in a canonical single-space form used
-// for identity (cache keys, pattern memo equality). Parse(Canon(p))
+// for identity (cache keys, pattern equality). Parse(Canon(p))
 // round-trips.
 func (p *Predicate) Canon() string {
 	var b strings.Builder

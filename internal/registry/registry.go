@@ -17,8 +17,8 @@
 //     parses the SDL directory into a fresh generation of snapshots and
 //     swaps the table atomically. In-flight searches finish on the
 //     snapshot they acquired; a superseded snapshot is retired when its
-//     refcount drains, at which point its Completer's pooled engines
-//     and compiled indexes are released (core.Completer.Close).
+//     refcount drains, at which point its closure index returns its
+//     budget bytes.
 //
 // The refcount protocol is the standard epoch trick: every snapshot is
 // born with one reference owned by the registry table. Acquire uses a
@@ -411,7 +411,7 @@ func (r *Registry) Acquire(name string) (*Snapshot, error) {
 
 // Reload reparses the SDL directory and atomically swaps the whole
 // table to a fresh generation. Every named schema present in the
-// directory is rebuilt — compiled indexes and engine pools are
+// directory is rebuilt — transition tables and engine pools are
 // per-generation by design — and names that disappeared are dropped.
 // The default schema is preserved when its name survives the reload,
 // else it falls back to the first name in sorted order. On any error

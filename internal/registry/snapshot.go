@@ -19,8 +19,8 @@ import (
 // registry table. Acquire adds references; Release drops them. When
 // the table stops carrying the snapshot (a reload superseded it) the
 // registry drops its reference too, and whoever performs the final
-// Release retires the snapshot: its Completer's pooled engines and
-// compiled indexes are released and the registry's live count drops.
+// Release retires the snapshot: its closure index returns its budget
+// bytes and the registry's live count drops.
 type Snapshot struct {
 	name  string
 	gen   uint64
@@ -51,9 +51,9 @@ func (sn *Snapshot) Generation() uint64 { return sn.gen }
 func (sn *Snapshot) Schema() *schema.Schema { return sn.s }
 
 // Completer returns the snapshot's long-lived search engine. It is
-// safe for concurrent use and keeps its compiled indexes and engine
-// pool for the snapshot's whole lifetime — the warm, allocation-free
-// hot path of the serving layer.
+// safe for concurrent use and keeps its base transition table and
+// engine pool for the snapshot's whole lifetime — the warm,
+// allocation-free hot path of the serving layer.
 func (sn *Snapshot) Completer() *core.Completer { return sn.cmp }
 
 // Store returns the snapshot's object store, or nil.
@@ -93,9 +93,11 @@ func (sn *Snapshot) tryAcquire() bool {
 }
 
 // Release drops one reference. Exactly one caller observes the drop to
-// zero and retires the snapshot: pooled engines and compiled indexes
-// are released, the registry live count falls, and the retirement
-// observer (if any) fires. Releasing more times than acquired is a
+// zero and retires the snapshot: its closure index returns its budget
+// bytes, the registry live count falls, and the retirement observer
+// (if any) fires. The Completer needs no release: it holds only its
+// base transition table and engine pool, which the garbage collector
+// frees with the snapshot. Releasing more times than acquired is a
 // bug; it panics rather than corrupting the protocol silently.
 func (sn *Snapshot) Release() {
 	n := sn.refs.Add(-1)
@@ -114,7 +116,6 @@ func (sn *Snapshot) Release() {
 	if h := sn.cl.Load(); h != nil {
 		h.Cancel()
 	}
-	sn.cmp.Close()
 	sn.reg.live.Add(-1)
 	if fn := sn.reg.onRetire.Load(); fn != nil {
 		(*fn)(sn)

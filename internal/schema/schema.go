@@ -13,6 +13,7 @@ package schema
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pathcomplete/internal/connector"
 )
@@ -60,6 +61,9 @@ type Schema struct {
 	byName  map[string]ClassID
 	rels    []Rel
 	out     [][]RelID // outgoing edges per class, sorted by edge strength
+
+	namedOnce sync.Once
+	named     map[string][]RelID // edges per relationship name, in ID order
 }
 
 // Name returns the schema's display name.
@@ -125,13 +129,29 @@ func (s *Schema) OutRel(id ClassID, name string) (Rel, bool) {
 // given name, in ID order. Incomplete path expressions are anchored on
 // relationship names, which need not be unique schema-wide.
 func (s *Schema) RelsNamed(name string) []Rel {
-	var out []Rel
-	for _, r := range s.rels {
-		if r.Name == name {
-			out = append(out, r)
-		}
+	ids := s.RelIDsNamed(name)
+	if len(ids) == 0 {
+		return nil
+	}
+	out := make([]Rel, len(ids))
+	for i, id := range ids {
+		out[i] = s.rels[id]
 	}
 	return out
+}
+
+// RelIDsNamed is RelsNamed as IDs, without allocating. The name index
+// behind it is built on the first call, so loading a schema does not
+// pay for it. The returned slice is shared; callers must not modify
+// it.
+func (s *Schema) RelIDsNamed(name string) []RelID {
+	s.namedOnce.Do(func() {
+		s.named = make(map[string][]RelID)
+		for _, r := range s.rels {
+			s.named[r.Name] = append(s.named[r.Name], r.ID)
+		}
+	})
+	return s.named[name]
 }
 
 // Classes returns all classes in ID order. The returned slice is

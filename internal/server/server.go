@@ -762,9 +762,9 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 // fresh, fuller search.
 //
 // The hot path — no per-request E override, no tracer — runs on the
-// snapshot's long-lived Completer: memoized compiled indexes and
-// pooled engines, the zero-allocation kernel of PR 3. Divergent
-// requests build a throwaway Completer with the adjusted options.
+// snapshot's long-lived Completer: its built base transition table and
+// pooled engines. Divergent requests build a throwaway Completer with
+// the adjusted options, which builds its own base table on first use.
 func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.Expr, opts core.Options, rec *core.TraceRecorder, key cacheKey) (completed, int, error) {
 	start := time.Now()
 	sctx, span := obs.StartSpan(ctx, "search")
