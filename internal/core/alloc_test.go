@@ -54,13 +54,31 @@ func TestWarmCompleteAllocs(t *testing.T) {
 		// schema's edge vocabulary before the (pooled) search runs.
 		{"regex", Exact(), pathexpr.MustParse("ta~(grad.*)~name"), 160},
 		{"degenerate", Exact(), pathexpr.MustParse("ta~(.*)~name"), 200},
+		// The reachability check answers this query without a traversal
+		// (no gap ends on the inverse of an attribute), on scratch the
+		// pooled engine already holds: no more allocations than the
+		// searched paper lane.
+		{"unanswerable", Paper(), pathexpr.MustParse("ta~person_of_name"), 120},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got := warmAllocs(t, New(s, tc.opts), tc.e)
+			cmp := New(s, tc.opts)
+			got := warmAllocs(t, cmp, tc.e)
 			if got > tc.bound {
 				t.Errorf("warm Complete allocates %.0f/op, want <= %.0f (pool, index or determinization regression?)", got, tc.bound)
 			}
 			t.Logf("warm Complete: %.0f allocs/op", got)
+			if tc.name == "unanswerable" {
+				if baseline := warmAllocs(t, New(s, Paper()), taName); got > baseline {
+					t.Errorf("the check's answer allocates %.0f/op, the searched paper lane %.0f/op", got, baseline)
+				}
+				res, err := cmp.Complete(tc.e)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Stats.Calls != 0 || len(res.Completions) != 0 {
+					t.Errorf("%v: %d calls, %d completions, want the check's empty answer", tc.e, res.Stats.Calls, len(res.Completions))
+				}
+			}
 		})
 	}
 }

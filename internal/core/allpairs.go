@@ -34,7 +34,11 @@ import (
 // the distinct relationship names plus the non-primitive class names
 // (a gap anchored on a class name also ends at any edge into that
 // class; see compile). Sorted, deduplicated. This is the column
-// universe of the all-pairs closure.
+// universe of the all-pairs closure. Some anchors compile but can
+// never complete: the inverse of an attribute, named
+// <class>_of_<attr>, leaves a primitive class, and gaps never pass
+// through primitives. Their cells are answered by the reachability
+// check without a search.
 func GapAnchors(s *schema.Schema) []string {
 	set := make(map[string]bool)
 	for _, rel := range s.Rels() {
@@ -80,7 +84,9 @@ func gapSegment(s *schema.Schema, anchor string) (segment, error) {
 // returns the context's error without invoking fn for a partial cell.
 // Roots from which the anchor is unreachable still produce a cell (an
 // empty Result) — "no consistent completion" is itself the materialized
-// answer.
+// answer. search's reachability check answers those cells without a
+// traversal, so their cost is one walk of the anchor's index, not a
+// search; they are most of a closure build's traverse calls otherwise.
 func (c *Completer) AllPairsGap(ctx context.Context, anchor string, want func(root schema.ClassID) bool, fn func(root schema.ClassID, res *Result)) error {
 	if ctx == nil {
 		ctx = context.Background()

@@ -117,7 +117,9 @@ type Options struct {
 	// paper's Section 5.4 concern that "a user should not wait too
 	// long". When the budget is exhausted the search stops and the
 	// Result reports Exhausted; the completions found so far are valid
-	// consistent paths but optimality is no longer guaranteed.
+	// consistent paths but optimality is no longer guaranteed. A query
+	// the reachability check answers makes no call, so no budget trips
+	// on it.
 	MaxCalls int
 
 	// Deadline caps the wall-clock time of one search (0 means
@@ -147,9 +149,9 @@ type Options struct {
 	// sequential.
 	Parallel int
 
-	// noCompile disables the compiled transition index and the engine
-	// pool, forcing the dynamic per-visit derivation — the reference
-	// configuration the compiled kernel is property-tested against.
+	// noCompile disables the compiled transition index, forcing the
+	// dynamic per-visit derivation — the reference configuration the
+	// compiled kernel is property-tested against.
 	noCompile bool
 
 	// Tracer, when non-nil, receives a structured event at every
@@ -159,7 +161,8 @@ type Options struct {
 	// must not be shared between concurrent queries: a Completer used
 	// concurrently should keep Tracer nil and copy its Options per
 	// traced query. The nil default costs one untaken branch per event
-	// site (BenchmarkTracerOverhead).
+	// site (BenchmarkTracerOverhead). A query the reachability check
+	// answers is not traversed and emits no event.
 	Tracer Tracer
 }
 
@@ -227,7 +230,10 @@ const stopCheckMask = stopCheckInterval - 1
 // the paper.
 type Stats struct {
 	// Calls counts invocations of the recursive traverse routine (one
-	// per explored node state), the paper's per-query cost metric.
+	// per explored node state), the paper's per-query cost metric. It
+	// is 0 when the reachability check in front of the search answers
+	// the query (no completing move is reachable, so nothing is
+	// traversed; see Completer.search).
 	Calls int
 	// Offers counts complete consistent paths handed to update().
 	Offers int
@@ -320,7 +326,8 @@ func (r *Result) Strings() []string {
 // A Completer's configuration is immutable and it is safe for
 // concurrent use. Internally it keeps one pattern-independent base
 // table of transitions, built on first use, and compiles each query's
-// few override rows over it (see compiled.go); search engines are
+// few override rows over it (see compiled.go); search engines, and the
+// scratch of the reachability check each search starts with, are
 // recycled through a pool, so repeated queries run allocation-free on
 // the hot path.
 type Completer struct {
@@ -357,7 +364,9 @@ func (c *Completer) Complete(e pathexpr.Expr) (*Result, error) {
 // is sooner — stops the search gracefully mid-traversal, returning the
 // valid best-so-far completions with Result.Aborted and StopReason set
 // rather than an error. A nil or Background context with no Deadline
-// option keeps the uninstrumented fast path of Complete.
+// option keeps the uninstrumented fast path of Complete. A query with
+// no reachable completing move is answered before any traversal, so
+// it gets the exact empty answer even under a done context.
 func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -395,24 +404,37 @@ func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Resu
 	return c.search(ctx, pat, nil), nil
 }
 
-// search dispatches one compiled-pattern search: the dynamic reference
-// engine under noCompile, and otherwise a search over the index cp
-// (pat's own, compiled here, when cp is nil) by the parallel
-// root-branch search when eligible or by a pooled engine.
+// search dispatches one compiled-pattern search on a pooled engine,
+// which moves over the index cp (pat's own, compiled here, when cp is
+// nil), or over dynamically derived transitions under noCompile. The
+// engine's reachability check (canComplete) runs first: a pattern with
+// no reachable completing move gets the empty Result without a
+// traversal. Otherwise runEngine searches.
 func (c *Completer) search(ctx context.Context, pat *pattern, cp *compiled) *Result {
 	if c.opts.noCompile {
-		return newEngine(ctx, c.s, pat, c.opts).run()
-	}
-	if cp == nil {
+		cp = nil
+	} else if cp == nil {
 		cp = c.compiledFor(pat)
 	}
-	if c.parallelEligible(pat, cp) {
-		return c.runParallel(ctx, pat, cp)
-	}
 	en := c.getEngineFor(ctx, pat, cp)
-	res := en.run()
+	var res *Result
+	if en.canComplete() {
+		res = c.runEngine(en)
+	} else {
+		res = en.assemble()
+	}
 	c.putEngine(en)
 	return res
+}
+
+// runEngine runs Algorithm 2 on a prepared engine: the parallel
+// root-branch search when eligible (never under noCompile), the
+// sequential traversal otherwise.
+func (c *Completer) runEngine(en *engine) *Result {
+	if en.cp != nil && c.parallelEligible(en.pat, en.cp) {
+		return c.runParallel(en)
+	}
+	return en.run()
 }
 
 // CompleteToClass disambiguates the node-to-node form of Section 3:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"pathcomplete/internal/pathexpr"
@@ -13,16 +14,9 @@ import (
 // compiled in the class-anchored form of CompleteToClass, their Name
 // naming the target class. It returns the first difference, or nil.
 func CheckCompiledRows(c *Completer, e pathexpr.Expr, classGaps map[int]bool) error {
-	pat, err := compile(c.s, e)
+	pat, err := compileClassGaps(c.s, e, classGaps)
 	if err != nil {
 		return err
-	}
-	for i := range classGaps {
-		seg := &pat.segs[i]
-		if seg.kind != segGapName || seg.class == schema.NoClass {
-			return fmt.Errorf("%v: step %d is not a gap anchored on a class", e, i)
-		}
-		seg.kind, seg.name = segGapClass, ""
 	}
 	cp := c.compiledFor(pat)
 	for v := 0; v < c.s.NumClasses(); v++ {
@@ -48,4 +42,50 @@ func sameMoves(a, b []trans) bool {
 		}
 	}
 	return true
+}
+
+// compileClassGaps compiles e, turning the gap steps whose indexes
+// classGaps lists into the class-anchored form of CompleteToClass.
+func compileClassGaps(s *schema.Schema, e pathexpr.Expr, classGaps map[int]bool) (*pattern, error) {
+	pat, err := compile(s, e)
+	if err != nil {
+		return nil, err
+	}
+	for i := range classGaps {
+		seg := &pat.segs[i]
+		if seg.kind != segGapName || seg.class == schema.NoClass {
+			return nil, fmt.Errorf("%v: step %d is not a gap anchored on a class", e, i)
+		}
+		seg.kind, seg.name = segGapClass, ""
+	}
+	return pat, nil
+}
+
+// SearchBothWays compiles e on c (classGaps as in CheckCompiledRows)
+// and answers it twice under ctx: through the Completer's own dispatch
+// (checked), and through the same engines with the reachability check
+// bypassed (searched). answered reports whether the check answered the
+// dispatch without a traversal.
+func SearchBothWays(ctx context.Context, c *Completer, e pathexpr.Expr, classGaps map[int]bool) (checked, searched *Result, answered bool, err error) {
+	pat, err := compileClassGaps(c.s, e, classGaps)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	checked = c.search(ctx, pat, nil)
+	var cp *compiled
+	if !c.opts.noCompile {
+		cp = c.compiledFor(pat)
+	}
+	en := c.getEngineFor(ctx, pat, cp)
+	answered = !en.canComplete()
+	searched = c.runEngine(en)
+	c.putEngine(en)
+	return checked, searched, answered, nil
+}
+
+// WithoutIndex returns o under the noCompile reference configuration:
+// transitions derived per visit instead of read from the compiled index.
+func WithoutIndex(o Options) Options {
+	o.noCompile = true
+	return o
 }

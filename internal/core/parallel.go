@@ -128,16 +128,16 @@ type branchOut struct {
 	stop  StopReason
 }
 
-// runParallel is the parallel counterpart of engine.run for one
-// compiled pattern.
-func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled) *Result {
+// runParallel is the parallel counterpart of engine.run: acc, prepared
+// for one compiled pattern, seeds the branches and hosts the merge.
+func (c *Completer) runParallel(acc *engine) *Result {
+	ctx, pat, cp := acc.ctx, acc.pat, acc.cp
 	root := pat.root
 	comps, kids := cp.moves(root, 0)
 
 	// Phase 1 — deterministic seed bound: offer the root's completing
 	// moves first (the early-target exploration of line (2), hoisted out
 	// of the fan-out). The accumulator engine also hosts the final merge.
-	acc := c.getEngineFor(ctx, pat, cp)
 	acc.visited[root] = true
 	acc.stats.Calls++ // the root visit, counted once as in the sequential sweep
 	if !acc.opts.NoEarlyTarget {
@@ -193,9 +193,7 @@ func (c *Completer) runParallel(ctx context.Context, pat *pattern, cp *compiled)
 		acc.offerAll(0, 0, comps, label.IncIdentity(), label.Identity())
 	}
 	acc.visited[root] = false
-	res := acc.assemble()
-	c.putEngine(acc)
-	return res
+	return acc.assemble()
 }
 
 // runBranch searches the subtree behind one root branch: it replays

@@ -86,6 +86,9 @@ type shardedCache struct {
 	ll         *list.List // front = most recently used, across all shards
 	items      map[cacheKey]*list.Element
 	perShard   map[shardID]int // live entry count per shard
+	// deletes counts removals from items since it was last rebuilt; see
+	// removeElement.
+	deletes int
 }
 
 func newShardedCache(maxEntries int, budget int64) *shardedCache {
@@ -146,6 +149,19 @@ func (c *shardedCache) removeElement(el *list.Element) {
 	ent := el.Value.(*cacheEntry)
 	c.ll.Remove(el)
 	delete(c.items, ent.key)
+	// Under constant insert/delete churn a Go map's table keeps growing
+	// after its live count has stopped growing (seen on Go 1.24), so
+	// the memo's retained heap would grow with the number of requests
+	// served. Once maxEntries deletions have accumulated, items moves
+	// to a fresh map sized to the live count: O(live) <= O(maxEntries)
+	// work every maxEntries deletions, amortized O(1).
+	if c.deletes++; c.deletes >= c.maxEntries {
+		items := make(map[cacheKey]*list.Element, len(c.items))
+		for k, v := range c.items {
+			items[k] = v
+		}
+		c.items, c.deletes = items, 0
+	}
 	c.used -= ent.size
 	if n := c.perShard[ent.key.shard] - 1; n > 0 {
 		c.perShard[ent.key.shard] = n
