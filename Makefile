@@ -45,9 +45,12 @@ bench:
 
 # The tracked benchmark set as machine-readable JSON, for tracking
 # time/op and allocs/op across commits (see README "Performance").
-# Covers the search-kernel series plus the closure-vs-kernel point
-# query — the lookup/search ratio is the tentpole >=10x claim.
-TRACKED_BENCH = UniversityTaName|SchemaScaling|ClosureUniversityTaName
+# Covers the search-kernel series, the closure-vs-kernel point query —
+# the lookup/search ratio is the tentpole >=10x claim — and the lanes
+# that report traverse calls per query (Figure 7 at E=5, the engine
+# presets, the Algorithm 2 ablations): a kernel change that claims a
+# lower cost per call must leave their calls/query where they were.
+TRACKED_BENCH = UniversityTaName|SchemaScaling|ClosureUniversityTaName|EngineComparison|Ablation|Figure7ResponseTime
 bench-json:
 	$(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . \
 		| $(GO) run ./cmd/benchjson > BENCH_core.json

@@ -300,28 +300,31 @@ func BenchmarkEngineComparison(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, complete func(pathexpr.Expr) (*core.Result, error)) {
+	// run returns the traverse calls per query of the last iteration.
+	run := func(b *testing.B, complete func(pathexpr.Expr) (*core.Result, error)) float64 {
 		b.Helper()
+		var calls int
 		for i := 0; i < b.N; i++ {
+			calls = 0
 			for _, q := range qs {
-				if _, err := complete(q.Expr); err != nil {
+				res, err := complete(q.Expr)
+				if err != nil {
 					b.Fatal(err)
 				}
+				calls += res.Stats.Calls
 			}
 		}
+		return float64(calls) / float64(len(qs))
 	}
-	b.Run("paper", func(b *testing.B) {
-		c := core.New(w.Schema, core.Paper())
-		run(b, c.Complete)
-	})
-	b.Run("safe", func(b *testing.B) {
-		c := core.New(w.Schema, core.Safe())
-		run(b, c.Complete)
-	})
-	b.Run("exact", func(b *testing.B) {
-		c := core.New(w.Schema, core.Exact())
-		run(b, c.Complete)
-	})
+	for _, p := range []struct {
+		name string
+		opts core.Options
+	}{{"paper", core.Paper()}, {"safe", core.Safe()}, {"exact", core.Exact()}} {
+		b.Run(p.name, func(b *testing.B) {
+			c := core.New(w.Schema, p.opts)
+			b.ReportMetric(run(b, c.Complete), "calls/query")
+		})
+	}
 	b.Run("naive", func(b *testing.B) {
 		run(b, func(e pathexpr.Expr) (*core.Result, error) {
 			return core.NaiveComplete(w.Schema, e, core.Exact(), 0)

@@ -9,7 +9,7 @@ package core
 // (source class, gap anchor): the dominant query shape is the
 // single-gap expression `root ~ anchor`, and for a fixed anchor the
 // compiled transition index is root-independent, so one index and one
-// pooled engine (with its dirty-list bestTab reset) serve the whole
+// pooled engine (with its dirty-list best[u] reset) serve the whole
 // source sweep.
 //
 // The solver deliberately does NOT re-derive answers through a

@@ -36,36 +36,30 @@ const decisionsGolden = "testdata/decisions.golden"
 // decisionCalls is the call budget of the exact lanes.
 const decisionCalls = 20_000
 
-// decisionPresets lists the configurations every query runs under.
-func decisionPresets() []struct {
+// decisionPreset is one configuration every query runs under.
+type decisionPreset struct {
 	name string
 	opts core.Options
-} {
-	var out []struct {
-		name string
-		opts core.Options
-	}
-	add := func(name string, o core.Options) {
-		out = append(out, struct {
-			name string
-			opts core.Options
-		}{name, o})
-	}
+}
+
+// decisionPresets lists the configurations every query runs under.
+func decisionPresets() []decisionPreset {
+	var out []decisionPreset
 	for _, e := range []int{1, 2, 3, 5} {
 		o := core.Paper()
 		o.E = e
-		add(fmt.Sprintf("paper e=%d", e), o)
+		out = append(out, decisionPreset{fmt.Sprintf("paper e=%d", e), o})
 	}
 	for _, e := range []int{1, 2, 3, 5} {
 		o := core.Safe()
 		o.E = e
-		add(fmt.Sprintf("safe e=%d", e), o)
+		out = append(out, decisionPreset{fmt.Sprintf("safe e=%d", e), o})
 	}
 	for _, e := range []int{1, 3} {
 		o := core.Exact()
 		o.E = e
 		o.MaxCalls = decisionCalls
-		add(fmt.Sprintf("exact e=%d calls<=%d", e, decisionCalls), o)
+		out = append(out, decisionPreset{fmt.Sprintf("exact e=%d calls<=%d", e, decisionCalls), o})
 	}
 	return out
 }

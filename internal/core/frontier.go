@@ -222,7 +222,7 @@ func (f *Frontier) Advance(ctx context.Context, prefix string, emit func(anchor 
 }
 
 // merge folds per-anchor cells into one ranked Result: the optimal
-// label keys of every cell folded through label.Insert (order-
+// label keys of every cell folded into one label.Packed set (order-
 // independent — Insert is a fold of AggStar), completions filtered by
 // membership in the merged best set, deduplicated by edge sequence
 // (two anchors — a relationship name and a class name sharing the
@@ -233,11 +233,10 @@ func (f *Frontier) Advance(ctx context.Context, prefix string, emit func(anchor 
 // defined as this merge (CompletePrefixContext is the same merge, so
 // incremental and one-shot answers agree by construction).
 func (f *Frontier) merge(cells []*Result) *Result {
-	e := f.cmp.opts.e()
-	var best []label.Key
+	best := label.NewPacked(f.cmp.opts.e())
 	for _, r := range cells {
 		for _, k := range r.Best {
-			best = label.Insert(best, k, e)
+			best.Insert(k)
 		}
 	}
 	type seenEntry struct {
@@ -247,7 +246,7 @@ func (f *Frontier) merge(cells []*Result) *Result {
 	var found []Completion
 	for _, r := range cells {
 		for _, c := range r.Completions {
-			if !label.Fits(c.Label.Key(), best, e) {
+			if !best.Fits(c.Label.Key()) {
 				continue
 			}
 			rels := c.Path.Rels
@@ -279,10 +278,7 @@ func (f *Frontier) merge(cells []*Result) *Result {
 		}
 		return found[i].Path.String() < found[j].Path.String()
 	})
-	sortedBest := make([]label.Key, len(best))
-	copy(sortedBest, best)
-	label.SortKeys(sortedBest)
-	return &Result{Completions: found, Best: sortedBest}
+	return &Result{Completions: found, Best: best.AppendKeys(make([]label.Key, 0, best.Len()))}
 }
 
 // CompletePrefixContext is the one-shot reference for prefix

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathcomplete/internal/label"
@@ -80,7 +81,7 @@ func checkInvariants(t *testing.T, preset string, e pathexpr.Expr, opts Options,
 	// returned key set.
 	reduced := label.AggStar(keys, opts.e())
 	for _, k := range keys {
-		if !containsKey(reduced, k) {
+		if !slices.Contains(reduced, k) {
 			t.Errorf("%s %v: returned label %v does not survive AGG* over the result", preset, e, k)
 		}
 	}

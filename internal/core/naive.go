@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -215,7 +216,7 @@ func NaiveComplete(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) (
 	support := NewEdgeSet(s.NumRels())
 	var found []Completion
 	for i, r := range all {
-		if containsKey(best, keys[i]) {
+		if slices.Contains(best, keys[i]) {
 			found = append(found, Completion{Path: r, Label: labels[i]})
 			for _, rid := range r.Rels {
 				support.Add(rid)

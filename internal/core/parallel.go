@@ -37,6 +37,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -71,26 +72,23 @@ func (c *Completer) parallelEligible(pat *pattern, cp *compiled) bool {
 // paths provably unable to reach the optimal set (see the file
 // comment).
 type sharedBound struct {
-	v atomic.Pointer[[]label.Key]
+	v atomic.Pointer[label.Packed]
 }
 
-func newSharedBound(seed []label.Key) *sharedBound {
+func newSharedBound(seed label.Packed) *sharedBound {
 	sb := &sharedBound{}
-	ks := append([]label.Key(nil), seed...)
+	ks := slices.Clone(seed)
 	sb.v.Store(&ks)
 	return sb
 }
 
 // publish folds the caller's bound into the published one. Lock-free:
 // on CAS failure the merge is recomputed against the new snapshot.
-func (sb *sharedBound) publish(local []label.Key, e int) {
+func (sb *sharedBound) publish(local label.Packed) {
 	for {
 		cur := sb.v.Load()
-		merged := append([]label.Key(nil), *cur...)
-		for _, k := range local {
-			merged = label.Insert(merged, k, e)
-		}
-		if sameKeys(merged, *cur) {
+		merged := slices.Clone(*cur)
+		if !merged.Merge(local) {
 			return // nothing new to publish
 		}
 		if sb.v.CompareAndSwap(cur, &merged) {
@@ -99,25 +97,12 @@ func (sb *sharedBound) publish(local []label.Key, e int) {
 	}
 }
 
-// sameKeys reports set equality of two AGG*-closed key sets without
-// allocating (both are duplicate-free).
-func sameKeys(a, b []label.Key) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, k := range a {
-		if !containsKey(b, k) {
-			return false
-		}
-	}
-	return true
-}
-
 // refreshShared folds the published bound into the engine's local
-// best[T]. Called from traverse's amortized check block.
+// best[T], dropping the found paths it makes stale. Called from
+// traverse's amortized check block.
 func (en *engine) refreshShared() {
-	for _, k := range *en.shared.v.Load() {
-		en.bestT = label.Insert(en.bestT, k, en.e)
+	if en.bestT.Merge(*en.shared.v.Load()) {
+		en.dropStale()
 	}
 }
 
@@ -143,7 +128,7 @@ func (c *Completer) runParallel(acc *engine) *Result {
 	if !acc.opts.NoEarlyTarget {
 		acc.offerAll(0, 0, comps, label.IncIdentity(), label.Identity())
 	}
-	seed := append([]label.Key(nil), acc.bestT...)
+	seed := slices.Clone(acc.bestT)
 	var shared *sharedBound
 	if c.opts.DisableBestU {
 		shared = newSharedBound(seed)
@@ -199,10 +184,10 @@ func (c *Completer) runParallel(acc *engine) *Result {
 // runBranch searches the subtree behind one root branch: it replays
 // the child-loop body of traverse for that branch (acyclicity, bounds,
 // best[u] seeding), recurses, and hands back its surviving entries.
-func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, tr trans, seed []label.Key, shared *sharedBound) branchOut {
+func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, tr trans, seed label.Packed, shared *sharedBound) branchOut {
 	en := c.getEngineFor(ctx, pat, cp)
 	en.shared = shared
-	en.bestT = append(en.bestT, seed...)
+	copy(en.bestT, seed)
 	root := pat.root
 	en.visited[root] = true
 	defer func() {
@@ -219,15 +204,13 @@ func (c *Completer) runBranch(ctx context.Context, pat *pattern, cp *compiled, t
 	if shared != nil {
 		en.refreshShared()
 	}
-	if !en.opts.DisableBestT && !label.Fits(key, en.bestT, en.e) {
+	if !en.opts.DisableBestT && !en.bestT.Fits(key) {
 		en.stats.PrunedBestT++
 		return branchOut{stats: en.stats}
 	}
 	toSeg := tr.step // the root state is segment 0
 	if !en.opts.DisableBestU {
-		idx := int(u)*en.numSegs + toSeg
-		en.dirty = append(en.dirty, int32(idx))
-		en.bestTab[idx] = label.Insert(en.bestTab[idx], key, en.e)
+		en.newSlot(int(u)*en.numSegs + toSeg).Insert(key)
 	}
 	en.visited[u] = true
 	en.path = append(en.path, tr.rel.ID)

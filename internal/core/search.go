@@ -63,23 +63,28 @@ type engine struct {
 
 	visited []bool // per class: on the current path
 
-	// bestTab is the dense best[u] table of Algorithm 2, indexed by
-	// int(cls)*numSegs+seg. Slots keep their backing arrays across
-	// searches; dirty lists the touched indices so reset is O(touched),
-	// not O(classes × segments).
+	// bestOff and bestArena are the dense best[u] table of Algorithm 2.
+	// bestOff is indexed by state, int(cls)*numSegs+seg: 0 while the
+	// state holds no label, otherwise the 1-based number of its slot,
+	// the E words bestArena[(n-1)*E : n*E] of a label.Packed set. A slot
+	// is appended on its state's first insert, so a search costs O(states)
+	// offsets plus E words per touched state. Both keep their capacity
+	// across pooled searches; dirty lists the touched states so reset is
+	// O(touched), not O(classes × segments).
 	//
 	// For regex-constrained patterns the state space is the product
 	// with the constraint automata, so the table widens: the index
 	// becomes int(cls)*totalCols + cols[seg] + automaton state (cols
 	// and totalCols mirror pattern.cols/totalCols; cols stays nil — and
 	// the layout identical to the unconstrained one — otherwise).
-	bestTab   [][]label.Key
+	bestOff   []int32
+	bestArena []uint64
 	dirty     []int32
 	numSegs   int
 	cols      []int32
 	totalCols int
 
-	bestT []label.Key
+	bestT label.Packed // best[T], E words
 	path  []schema.RelID
 
 	// seen and queue are the scratch of canComplete: a bitset over the
@@ -136,12 +141,17 @@ func (en *engine) prepare(ctx context.Context, pat *pattern, cp *compiled, opts 
 	if en.cols != nil {
 		need = len(en.visited) * en.totalCols
 	}
-	if cap(en.bestTab) < need {
-		en.bestTab = make([][]label.Key, need)
+	if cap(en.bestOff) < need {
+		en.bestOff = make([]int32, need)
 	} else {
-		en.bestTab = en.bestTab[:need]
+		en.bestOff = en.bestOff[:need]
 	}
-	en.bestT = en.bestT[:0]
+	if cap(en.bestT) < en.e {
+		en.bestT = label.NewPacked(en.e)
+	} else {
+		en.bestT = en.bestT[:en.e]
+		en.bestT.Reset()
+	}
 	en.path = en.path[:0]
 	en.found = en.found[:0]
 	en.truncated = false
@@ -149,22 +159,47 @@ func (en *engine) prepare(ctx context.Context, pat *pattern, cp *compiled, opts 
 }
 
 // release clears the state a pooled engine must not carry into its
-// next search: touched best slots (length only — capacity is the point
-// of pooling), references to per-query allocations, and the context.
+// next search: the offsets of touched best slots and the arena behind
+// them (length only — capacity is the point of pooling), references to
+// per-query allocations, and the context.
 func (en *engine) release() {
 	for _, idx := range en.dirty {
-		en.bestTab[idx] = en.bestTab[idx][:0]
+		en.bestOff[idx] = 0
 	}
 	en.dirty = en.dirty[:0]
+	en.bestArena = en.bestArena[:0]
 	for i := range en.found {
 		en.found[i] = foundEntry{} // drop rels references
 	}
 	en.found = en.found[:0]
-	en.bestT = en.bestT[:0]
 	en.tracer = nil
 	en.ctx = nil
 	en.done = nil
 	en.shared = nil
+}
+
+// bestSlot returns the best[u] set of state idx, or nil while the state
+// holds no label. The view aliases the arena, so it is valid only until
+// the next newSlot.
+func (en *engine) bestSlot(idx int) label.Packed {
+	n := int(en.bestOff[idx])
+	if n == 0 {
+		return nil
+	}
+	base := (n - 1) * en.e
+	return label.Packed(en.bestArena[base : base+en.e : base+en.e])
+}
+
+// newSlot appends an empty best[u] set for state idx, which must hold
+// none, and lists the state as dirty.
+func (en *engine) newSlot(idx int) label.Packed {
+	base := len(en.bestArena)
+	en.bestArena = slices.Grow(en.bestArena, en.e)[:base+en.e]
+	slot := label.Packed(en.bestArena[base : base+en.e : base+en.e])
+	slot.Reset()
+	en.bestOff[idx] = int32(base/en.e + 1)
+	en.dirty = append(en.dirty, int32(idx))
+	return slot
 }
 
 // canComplete is the reachability check in front of Algorithm 2. It
@@ -329,7 +364,7 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 			tlu = label.Con(tlv, label.MustEdge(tr.rel.Conn))
 		}
 		// Line (9): bound against the best complete labels found.
-		if !en.opts.DisableBestT && !label.Fits(key, en.bestT, en.e) {
+		if !en.opts.DisableBestT && !en.bestT.Fits(key) {
 			en.stats.PrunedBestT++
 			if en.tracer != nil {
 				en.tracer.OnPrune(PruneBestT, tr.rel, toSeg, tlu)
@@ -347,37 +382,33 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 					idx += int(nq)
 				}
 			}
-			slot := en.bestTab[idx]
-			testKey := key
-			if en.opts.SemLenSlack && testKey.SemLen > 0 {
-				testKey.SemLen--
-			}
-			ok := label.Fits(testKey, slot, en.e)
-			if !ok && en.opts.Caution != CautionOff {
-				cs := en.cautionSet(key.Conn)
-				for _, bk := range slot {
-					if cs.Has(bk.Conn) {
-						ok = true
-						en.stats.CautionSaves++
+			slot := en.bestSlot(idx)
+			if slot == nil {
+				slot = en.newSlot(idx) // an empty best[u]: every label fits
+			} else {
+				testKey := key
+				if en.opts.SemLenSlack && testKey.SemLen > 0 {
+					testKey.SemLen--
+				}
+				// A label that fails the test is still explored when
+				// some label of best[u] is in its connector's caution
+				// set: one AND with the union of the slot's connectors.
+				if !slot.Fits(testKey) {
+					if en.opts.Caution == CautionOff || !en.cautionSet(key.Conn).Intersects(slot.Conns()) {
+						en.stats.PrunedBestU++
 						if en.tracer != nil {
-							en.tracer.OnPrune(CautionSave, tr.rel, toSeg, tlu)
+							en.tracer.OnPrune(PruneBestU, tr.rel, toSeg, tlu)
 						}
-						break
+						continue
+					}
+					en.stats.CautionSaves++
+					if en.tracer != nil {
+						en.tracer.OnPrune(CautionSave, tr.rel, toSeg, tlu)
 					}
 				}
 			}
-			if !ok {
-				en.stats.PrunedBestU++
-				if en.tracer != nil {
-					en.tracer.OnPrune(PruneBestU, tr.rel, toSeg, tlu)
-				}
-				continue
-			}
 			// Line (12).
-			if len(slot) == 0 {
-				en.dirty = append(en.dirty, int32(idx))
-			}
-			en.bestTab[idx] = label.Insert(slot, key, en.e)
+			slot.Insert(key)
 		}
 		en.visited[u] = true
 		en.path = append(en.path, tr.rel.ID)
@@ -449,14 +480,15 @@ func (en *engine) offer(rel schema.Rel, lu label.Inc, tlv label.Label) {
 // update procedure of Section 4.5) for one offered path, reporting
 // whether the path joined the candidate set.
 func (en *engine) admit(rel schema.Rel, key label.Key) bool {
-	if !label.Fits(key, en.bestT, en.e) {
+	if !en.bestT.Fits(key) {
 		return false
 	}
-	en.bestT = label.Insert(en.bestT, key, en.e)
-	if en.shared != nil {
-		en.shared.publish(en.bestT, en.e)
+	if en.bestT.Insert(key) {
+		if en.shared != nil {
+			en.shared.publish(en.bestT)
+		}
+		en.dropStale()
 	}
-	en.dropStale()
 
 	sig := sigOf(en.path, rel.ID)
 	for i := range en.found {
@@ -476,11 +508,12 @@ func (en *engine) admit(rel schema.Rel, key label.Key) bool {
 }
 
 // dropStale removes previously found paths whose labels fell out of
-// best[T].
+// best[T]. Every found label is in best[T] until best[T] changes, so
+// it runs only after a change.
 func (en *engine) dropStale() {
 	keep := en.found[:0]
 	for _, f := range en.found {
-		if containsKey(en.bestT, f.key) {
+		if en.bestT.Has(f.key) {
 			keep = append(keep, f)
 		}
 	}
@@ -494,11 +527,12 @@ func (en *engine) dropStale() {
 // merge step of the parallel search. MaxPaths does not apply (the
 // parallel path is gated off when it is set).
 func (en *engine) admitEntry(f foundEntry) {
-	if !label.Fits(f.key, en.bestT, en.e) {
+	if !en.bestT.Fits(f.key) {
 		return
 	}
-	en.bestT = label.Insert(en.bestT, f.key, en.e)
-	en.dropStale()
+	if en.bestT.Insert(f.key) {
+		en.dropStale()
+	}
 	for i := range en.found {
 		if en.found[i].sig == f.sig && relsEqual(en.found[i].rels, f.rels) {
 			return
@@ -545,15 +579,6 @@ func relsEqualSplit(a, path []schema.RelID, last schema.RelID) bool {
 		}
 	}
 	return true
-}
-
-func containsKey(ks []label.Key, k label.Key) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
-		}
-	}
-	return false
 }
 
 // transitions derives the admissible moves at (v, seg) from the schema
@@ -682,12 +707,9 @@ func (en *engine) assemble() *Result {
 		}
 		return found[i].Path.String() < found[j].Path.String()
 	})
-	best := make([]label.Key, len(en.bestT))
-	copy(best, en.bestT)
-	label.SortKeys(best)
 	return &Result{
 		Completions: found,
-		Best:        best,
+		Best:        en.bestT.AppendKeys(make([]label.Key, 0, en.bestT.Len())),
 		Stats:       en.stats,
 		Truncated:   en.truncated,
 		Exhausted:   en.stop == StopMaxCalls,

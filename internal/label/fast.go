@@ -3,146 +3,206 @@ package label
 // This file implements the allocation-free fast path used by the
 // compiled search kernel (internal/core):
 //
-//   - Fits is an alloc-free equivalent of In, the membership test of
-//     lines (9)–(10) of Algorithm 2;
-//   - Insert folds one key into an AGG*-closed set in place, the
-//     alloc-free equivalent of AggStar(append(ks, k), e) at line (12);
+//   - Packed is an AGG*-closed key set — a best[] set of Algorithm 2 —
+//     packed into E machine words, with the membership test of lines
+//     (9)–(10) in two word reads (Fits, the alloc-free equivalent of
+//     In), the O(E) fold of one key at line (12) (Insert, the alloc-free
+//     equivalent of AggStar(append(ks, k), e)), and the union of its
+//     connectors for the caution-set escape of line (11);
 //   - Inc is an incremental [connector, semantic-length] label that
 //     extends by one primary edge in O(1), without materializing the
 //     run-collapsed connector sequence Label carries.
 //
-// All three are property-tested against their reference counterparts
-// (In, AggStar, Con∘Edge) over randomized inputs in fast_test.go.
+// Both are property-tested against their reference counterparts (In,
+// AggStar, Con∘Edge) over randomized inputs in fast_test.go.
 //
-// A note on compositionality: the engine builds best[] sets by folding
-// Insert from the empty set, whereas the reference semantics is one
-// batch AggStar over all keys ever offered. The two agree because the
-// package-default connector order is graded (connector.Better compares
-// strength ranks): the survivors of the primary reduction are exactly
-// the minimum-rank keys, so discarding a dominated key early can never
-// resurrect later — dominance is witnessed by rank alone, and ranks of
-// retained keys only improve. TestInsertFoldMatchesBatch verifies this
-// over random insertion orders.
+// The packing rests on one invariant: the package-default connector
+// order is graded (connector.Better compares strength ranks;
+// TestBetterIsGraded fails if it stops being so). The survivors of
+// AGG*'s primary reduction are therefore exactly the keys of minimum
+// rank, so an AGG*-closed set has a single rank and at most E distinct
+// semantic lengths, each carrying a set of connectors of that rank. The
+// same invariant makes folding compositional: the engine builds best[]
+// sets by folding Insert from the empty set, whereas the reference
+// semantics is one batch AggStar over all keys ever offered. A key
+// dominated early can never resurrect later — dominance is witnessed by
+// rank alone, and the rank of a set only improves.
+// TestInsertFoldMatchesBatch verifies this over random insertion orders.
 
-import "pathcomplete/internal/connector"
+import (
+	"sort"
 
-// Fits reports whether k survives AggStar({k} ∪ ks, e) — exactly
-// In(k, ks, e) — without allocating. ks need not be AGG*-closed.
-func Fits(k Key, ks []Key, e int) bool {
+	"pathcomplete/internal/connector"
+)
+
+// Packed is an AGG*-closed key set held in E words, E >= 1 the AGG*
+// parameter it is closed under. Word i describes the i-th lowest
+// distinct semantic length of the set:
+//
+//	semlen<<32 | rank<<16 | connector mask
+//
+// where the mask is the connector.Set of the keys at that length and
+// rank their common strength rank (the same in every word). Words are
+// sorted by semantic length, so they also compare as integers; unused
+// words are zero and trail the used ones, and a used word is never zero
+// because its mask is not. The representation is canonical: two
+// Packed sets of the same E hold the same keys iff their words are
+// equal. The empty set is all zeros, the zero value of its E words.
+//
+// A Packed is a view: it may alias an arena of slots, and its methods
+// never allocate or change its length. Semantic lengths must be below
+// 2^32, which any path of a schema is.
+type Packed []uint64
+
+const (
+	packedMask      = 1<<16 - 1
+	packedRankShift = 16
+	packedLenShift  = 32
+)
+
+// NewPacked returns an empty set closed under AGG* with parameter e
+// (values below 1 are treated as 1).
+func NewPacked(e int) Packed {
 	if e < 1 {
 		e = 1
 	}
-	for _, y := range ks {
-		if connector.Better(y.Conn, k.Conn) {
-			return false // primary reduction: k's connector is dominated
-		}
-	}
-	// k survives the primary reduction. It survives the secondary one
-	// iff its semantic length is among the e lowest distinct lengths of
-	// the survivor set, i.e. iff fewer than e distinct lengths sit
-	// strictly below it.
-	distinct := 0
-	for i, x := range ks {
-		if x.SemLen >= k.SemLen || !fitsSurvivor(x, k, ks) {
-			continue
-		}
-		seen := false
-		for j := 0; j < i; j++ {
-			if ks[j].SemLen == x.SemLen && fitsSurvivor(ks[j], k, ks) {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			distinct++
-			if distinct >= e {
-				return false
-			}
-		}
-	}
-	return true
+	return make(Packed, e)
 }
 
-// fitsSurvivor reports whether x survives the primary reduction of
-// AggStar over {k} ∪ ks.
-func fitsSurvivor(x, k Key, ks []Key) bool {
-	if connector.Better(k.Conn, x.Conn) {
-		return false
-	}
-	for _, y := range ks {
-		if connector.Better(y.Conn, x.Conn) {
-			return false
-		}
-	}
-	return true
+// packWord returns the word of the one-key set {k}.
+func packWord(k Key) uint64 {
+	var m connector.Set
+	m.Add(k.Conn)
+	return uint64(k.SemLen)<<packedLenShift | uint64(k.Conn.Rank())<<packedRankShift | uint64(m)
 }
 
-// Insert folds k into the AGG*-closed set ks, returning a set equal
-// (as a set) to AggStar(append(ks, k), e). The backing array of ks is
-// reused and the result is NOT sorted; callers needing display order
-// sort a copy. The precondition — ks is AGG*-closed under the same e —
-// is maintained inductively by every call site, starting from nil.
-func Insert(ks []Key, k Key, e int) []Key {
-	if e < 1 {
-		e = 1
+func wordRank(w uint64) uint64 { return w >> packedRankShift & packedMask }
+
+// Fits reports whether k survives AggStar({k} ∪ p, E) — exactly
+// In(k, keys of p, E). A lower rank than the set's dominates every
+// member; a higher one is dominated; at the same rank k survives iff
+// fewer than E distinct semantic lengths lie strictly below its own,
+// that is, iff the set has a free word or k is no longer than the E-th
+// length.
+func (p Packed) Fits(k Key) bool {
+	if p[0] == 0 {
+		return true
 	}
-	for _, y := range ks {
-		if y == k || connector.Better(y.Conn, k.Conn) {
-			return ks // duplicate, or k dominated: the set is unchanged
-		}
+	if r, pr := uint64(k.Conn.Rank()), wordRank(p[0]); r != pr {
+		return r < pr
 	}
-	// k survives; drop members whose connectors it dominates.
-	out := ks[:0]
-	for _, y := range ks {
-		if !connector.Better(k.Conn, y.Conn) {
-			out = append(out, y)
-		}
-	}
-	out = append(out, k)
-	// Secondary reduction: keep the e lowest distinct semantic lengths
-	// (this may evict k itself, or previous members k's arrival pushed
-	// past the cutoff).
-	cutoff := distinctCutoff(out, e)
-	kept := out[:0]
-	for _, y := range out {
-		if y.SemLen <= cutoff {
-			kept = append(kept, y)
-		}
-	}
-	return kept
+	last := p[len(p)-1]
+	return last == 0 || uint64(k.SemLen) <= last>>packedLenShift
 }
 
-// SortKeys sorts keys in display order — semantic length first, then
-// connector symbol — the order AggStar returns. Insert does not sort
-// (the search engine never needs order); callers surfacing a best set
-// sort a copy with this.
-func SortKeys(ks []Key) { sortKeys(ks) }
+// Insert folds k into the set in place — afterwards p holds
+// AggStar(keys of p ∪ {k}, E) — and reports whether the set changed.
+func (p Packed) Insert(k Key) bool { return p.insertWord(packWord(k)) }
 
-// distinctCutoff returns the e-th lowest distinct semantic length of
-// the non-empty key set (or the highest present, if fewer than e
-// distinct lengths exist), by repeated min-scan — alloc-free, and the
-// sets are tiny (≤ a handful of keys at the paper's E values).
-func distinctCutoff(ks []Key, e int) int {
-	cur := ks[0].SemLen
-	for _, y := range ks[1:] {
-		if y.SemLen < cur {
-			cur = y.SemLen
+// insertWord folds the keys of one word w (one semantic length, one
+// rank, any connector mask of that rank) into the set and reports
+// whether the set changed.
+func (p Packed) insertWord(w uint64) bool {
+	if p[0] == 0 || wordRank(w) < wordRank(p[0]) {
+		p[0] = w // the set was empty, or w dominates all of it
+		clear(p[1:])
+		return true
+	}
+	if wordRank(w) > wordRank(p[0]) {
+		return false // dominated
+	}
+	l := w >> packedLenShift
+	for i, x := range p {
+		switch xl := x >> packedLenShift; {
+		case x == 0:
+			p[i] = w
+			return true
+		case xl == l:
+			p[i] = x | w // same length and rank: add the connectors
+			return p[i] != x
+		case xl > l:
+			copy(p[i+1:], p[i:]) // the E-th length, if any, falls out
+			p[i] = w
+			return true
 		}
 	}
-	for n := 1; n < e; n++ {
-		next := -1
-		for _, y := range ks {
-			if y.SemLen > cur && (next < 0 || y.SemLen < next) {
-				next = y.SemLen
-			}
-		}
-		if next < 0 {
+	return false // longer than the E-th length: evicted
+}
+
+// Merge folds every key of q into p in place and reports whether p
+// changed; q must have p's E.
+func (p Packed) Merge(q Packed) bool {
+	changed := false
+	for _, w := range q {
+		if w == 0 {
 			break
 		}
-		cur = next
+		if p.insertWord(w) {
+			changed = true
+		}
 	}
-	return cur
+	return changed
 }
+
+// Has reports whether k is a member of the set.
+func (p Packed) Has(k Key) bool {
+	w := packWord(k)
+	for _, x := range p {
+		if x == 0 || x>>packedLenShift > w>>packedLenShift {
+			return false
+		}
+		if x>>packedLenShift == w>>packedLenShift {
+			return x&w&packedMask != 0
+		}
+	}
+	return false
+}
+
+// Conns returns the union of the set's connectors.
+func (p Packed) Conns() connector.Set {
+	var m uint64
+	for _, x := range p {
+		m |= x
+	}
+	return connector.Set(m & packedMask)
+}
+
+// Len returns the number of keys in the set.
+func (p Packed) Len() int {
+	n := 0
+	for _, x := range p {
+		n += connector.Set(x & packedMask).Len()
+	}
+	return n
+}
+
+// Reset empties the set.
+func (p Packed) Reset() { clear(p) }
+
+// AppendKeys appends the set's keys to dst in display order — semantic
+// length first, then connector symbol — the order AggStar returns.
+func (p Packed) AppendKeys(dst []Key) []Key {
+	for _, x := range p {
+		if x == 0 {
+			break
+		}
+		m := connector.Set(x & packedMask)
+		for _, c := range bySymbol {
+			if m.Has(c) {
+				dst = append(dst, Key{Conn: c, SemLen: int(x >> packedLenShift)})
+			}
+		}
+	}
+	return dst
+}
+
+// bySymbol lists Σ sorted by connector symbol, the tiebreak of
+// display order.
+var bySymbol = func() []connector.Connector {
+	cs := connector.All()
+	sort.Slice(cs, func(i, j int) bool { return cs[i].String() < cs[j].String() })
+	return cs
+}()
 
 // Inc is the incremental view of a path label: just enough state to
 // extend [connector, semantic length] by one primary edge in O(1).
