@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race cover cover-gate bench bench-json bench-closure bench-smoke bench-obs bench-trace bench-coldstart bench-coldstart-smoke bench-constrained bench-constrained-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
+.PHONY: all build test test-race race cover cover-gate loc bench bench-json bench-closure bench-smoke bench-obs bench-trace bench-coldstart bench-coldstart-smoke bench-constrained bench-constrained-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
 
 all: build vet test
 
@@ -39,6 +39,15 @@ cover-gate:
 	echo "combined core+registry+session coverage: $$total% (gate: $(COVER_GATE_MIN)%)"; \
 	awk -v t="$$total" -v min="$(COVER_GATE_MIN)" 'BEGIN { exit (t+0 >= min+0) ? 0 : 1 }' \
 		|| { echo "coverage gate FAILED: $$total% < $(COVER_GATE_MIN)%"; exit 1; }
+
+# Go line counts of the root module, non-test and test files apart.
+# cmd/pathbench is its own module and is left out, as are hidden
+# directories (the benchmark's build cache under .bench_build holds Go
+# sources). CHANGES.md reports each change's net difference in these.
+LOC_GO = find . \( -path ./cmd/pathbench -o -path './.*' \) -prune -o -name '*.go'
+loc:
+	@printf 'non-test Go lines: '; $(LOC_GO) ! -name '*_test.go' -print | xargs cat | wc -l
+	@printf 'test Go lines:     '; $(LOC_GO) -name '*_test.go' -print | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchmem -run xxx .

@@ -55,7 +55,6 @@ func main() {
 		trace      = flag.Bool("trace", false, "print the traversal event log of each search; with -server, force-sample the request and pretty-print its server-side span trace")
 		traceLimit = flag.Int("trace-limit", 0, "cap the trace at N events (0: default cap, negative: unlimited)")
 		timeout    = flag.Duration("timeout", 0, "wall-clock budget per search (0: none); an expired search prints its valid best-so-far completions")
-		parallel   = flag.Int("parallel", 0, "fan root branches across N workers per search (0 or 1: sequential)")
 		batch      = flag.Bool("batch", false, "batch mode: read one expression per line from stdin, complete them concurrently, print results in input order")
 		workers    = flag.Int("workers", 4, "batch-mode concurrency (searches in flight at once)")
 		serverURL  = flag.String("server", "", "complete against a running pathserve at this base URL via the /v1 API instead of the in-process engine (e.g. http://localhost:8080)")
@@ -127,7 +126,7 @@ func main() {
 		exclude: *exclude, eval: *eval, stats: *stats, explain: *explain,
 		specific: *specific, storePath: *storePath, dot: *dot,
 		trace: *trace, traceLimit: *traceLimit, timeout: *timeout,
-		parallel: *parallel, batch: *batch, workers: *workers,
+		batch: *batch, workers: *workers,
 	}, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "pathc:", err)
 		os.Exit(1)
@@ -137,7 +136,7 @@ func main() {
 // config carries the parsed flags.
 type config struct {
 	schemaName, sdlPath, engine, exclude, storePath string
-	e, traceLimit, parallel, workers                int
+	e, traceLimit, workers                          int
 	eval, stats, explain, specific, dot, trace      bool
 	batch                                           bool
 	timeout                                         time.Duration
@@ -195,10 +194,6 @@ func run(cfg config, args []string) error {
 		return fmt.Errorf("-timeout must be >= 0, got %v", cfg.timeout)
 	}
 	opts.Deadline = cfg.timeout
-	if cfg.parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0, got %d", cfg.parallel)
-	}
-	opts.Parallel = cfg.parallel
 	if cfg.exclude != "" {
 		opts.Exclude = make(map[schema.ClassID]bool)
 		for _, name := range strings.Split(cfg.exclude, ",") {

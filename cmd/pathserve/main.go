@@ -99,7 +99,6 @@ type config struct {
 	sample        bool
 	engine        string
 	e             int
-	parallel      int
 	pprofOn       bool
 	cacheCap      int
 	quiet         bool
@@ -145,7 +144,6 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&cfg.sample, "sample", false, "mount the built-in sample data (university only)")
 	fs.StringVar(&cfg.engine, "engine", "paper", "engine preset: paper, safe, or exact")
 	fs.IntVar(&cfg.e, "e", 1, "AGG* parameter (>= 1)")
-	fs.IntVar(&cfg.parallel, "parallel", 0, "fan root branches across N workers per search (0 or 1: sequential)")
 	fs.BoolVar(&cfg.pprofOn, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.IntVar(&cfg.cacheCap, "cache", server.DefaultCacheCap, "completion memo cache bound (entries, >= 0)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-request logging")
@@ -182,9 +180,6 @@ func (cfg config) validate() error {
 	}
 	if cfg.cacheCap < 0 {
 		return fmt.Errorf("-cache must be >= 0, got %d", cfg.cacheCap)
-	}
-	if cfg.parallel < 0 {
-		return fmt.Errorf("-parallel must be >= 0, got %d", cfg.parallel)
 	}
 	switch cfg.engine {
 	case "paper", "safe", "exact":
@@ -326,7 +321,6 @@ func run(cfg config, logger *slog.Logger) error {
 		"maxIsaDepth", st.MaxIsaDepth,
 		"engine", cfg.engine,
 		"e", cfg.e,
-		"parallel", cfg.parallel,
 		"cacheCap", cfg.cacheCap,
 		"closure", cfg.closureOn,
 		"persist", cfg.persistOn,
@@ -437,7 +431,6 @@ func build(cfg config) (*server.Server, *schema.Schema, error) {
 		return nil, nil, fmt.Errorf("unknown engine %q", cfg.engine)
 	}
 	opts.E = cfg.e
-	opts.Parallel = cfg.parallel
 
 	if cfg.schemasDir != "" {
 		// Multi-schema mode: every *.sdl file in the directory is served

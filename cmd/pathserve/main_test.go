@@ -209,6 +209,9 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-e", "not-a-number"}); err == nil {
 		t.Error("unparsable flag value should error")
 	}
+	if _, err := parseFlags([]string{"-parallel", "2"}); err == nil {
+		t.Error("-parallel is no longer a flag and should error")
+	}
 }
 
 // pickAddr reserves a free localhost port and releases it for the

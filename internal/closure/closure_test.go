@@ -4,8 +4,8 @@ package closure_test
 // materialized Index must be bit-for-bit the Result the online kernel
 // returns for the same `root ~ anchor` query — answers, order, labels,
 // best set, flags — across the same cupid generator corpus shapes the
-// core oracle suite sweeps, with E, preemption, specificity, and
-// parallelism varied per schema. Plus unit coverage of the byte
+// core oracle suite sweeps, with E, preemption and specificity varied
+// per schema. Plus unit coverage of the byte
 // Budget and the Builder/Handle lifecycle (ready, budget-exhausted,
 // cancel-mid-build, cancel-after-ready, the Disabled helper, and the
 // observer contract).
@@ -98,9 +98,6 @@ func TestClosureOracleEquivalence(t *testing.T) {
 		opts.E = 1 + int(i)%3
 		opts.NoPreemption = i%2 == 0
 		opts.PreferSpecific = i%5 == 0
-		if i%4 == 0 {
-			opts.Parallel = 2 + int(i)%3
-		}
 		cmp := core.New(s, opts)
 
 		ix, err := closure.Build(context.Background(), "diff", uint64(i), cmp, nil)

@@ -14,9 +14,8 @@ package core
 //
 // The solver deliberately does NOT re-derive answers through a
 // different algorithm: every (root, anchor) cell is produced by the
-// exact same dispatch the serving path uses (search — the compiled
-// sequential kernel, or the parallel root-branch search when the
-// options elect it), so a materialized cell is bit-for-bit the
+// exact same dispatch the serving path uses (search, the compiled
+// kernel), so a materialized cell is bit-for-bit the
 // Result an online query would have computed, caution sets and the
 // Inheritance Semantics Criterion included. The differential suite in
 // internal/closure locks that equality over the oracle corpus.

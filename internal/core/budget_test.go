@@ -8,7 +8,7 @@ import (
 )
 
 // TestMaxCallsBudget checks the interactive-latency budget: a tight
-// budget stops the search early and reports Exhausted, a generous one
+// budget stops the search early with StopReason max_calls, a generous one
 // changes nothing, and whatever is returned under a budget is still
 // consistent.
 func TestMaxCallsBudget(t *testing.T) {
@@ -24,8 +24,8 @@ func TestMaxCallsBudget(t *testing.T) {
 	if full.Stats.Calls < 20 {
 		t.Fatalf("workload too small for the budget test: %d calls", full.Stats.Calls)
 	}
-	if full.Exhausted {
-		t.Fatal("unbudgeted run reported Exhausted")
+	if full.StopReason != StopNone {
+		t.Fatalf("unbudgeted run stopped: %q", full.StopReason)
 	}
 
 	tight := Paper()
@@ -34,7 +34,7 @@ func TestMaxCallsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
-	if !res.Exhausted {
+	if res.StopReason != StopMaxCalls {
 		t.Errorf("budget %d of %d calls should exhaust", tight.MaxCalls, full.Stats.Calls)
 	}
 	if res.Stats.Calls > tight.MaxCalls {
@@ -52,8 +52,8 @@ func TestMaxCallsBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
-	if res2.Exhausted {
-		t.Error("generous budget reported Exhausted")
+	if res2.StopReason != StopNone {
+		t.Errorf("generous budget stopped the search: %q", res2.StopReason)
 	}
 	if len(res2.Completions) != len(full.Completions) {
 		t.Errorf("generous budget changed the answer: %d vs %d",
@@ -72,7 +72,7 @@ func TestMaxCallsSmallSchema(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Complete: %v", err)
 	}
-	if !res.Exhausted {
+	if res.StopReason != StopMaxCalls {
 		t.Error("budget of 5 calls should exhaust on the university schema")
 	}
 	// The grad-chain answer is found within the first few calls

@@ -421,46 +421,6 @@ func TestFrontierRejectsAnnotated(t *testing.T) {
 	}
 }
 
-// TestConstrainedParallelStaysSequential: constrained patterns are
-// gated off the parallel path but still answer correctly (and
-// identically to the sequential engine) when Parallel is set.
-func TestConstrainedParallelStaysSequential(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed*401 + 9))
-		opts := Exact()
-		popts := opts
-		popts.Parallel = 4
-		seq, par := New(s, opts), New(s, popts)
-		for _, root := range s.Classes() {
-			if root.Primitive {
-				continue
-			}
-			for _, anchor := range anchors(s, r) {
-				base := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-				plain, err := seq.Complete(base)
-				if err != nil || len(plain.Completions) == 0 {
-					continue
-				}
-				for _, re := range constraintsFor(s, plain)[:2] {
-					e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor, Constraint: re}}}
-					want, err := seq.Complete(e)
-					if err != nil {
-						t.Fatalf("seed %d %v: %v", seed, e, err)
-					}
-					got, err := par.Complete(e)
-					if err != nil {
-						t.Fatalf("seed %d %v: parallel-opts errored: %v", seed, e, err)
-					}
-					if !reflect.DeepEqual(view(got), view(want)) || got.Stats != want.Stats {
-						t.Errorf("seed %d %v: Parallel option changed a constrained answer", seed, e)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestConstrainedCompileErrors: invalid regex constraints and
 // predicates surface as compile errors with the constraint quoted.
 func TestConstrainedCompileErrors(t *testing.T) {

@@ -115,8 +115,8 @@ type Options struct {
 	// MaxCalls caps the number of recursive traverse calls (0 means
 	// unlimited) — an interactive-latency budget in the spirit of the
 	// paper's Section 5.4 concern that "a user should not wait too
-	// long". When the budget is exhausted the search stops and the
-	// Result reports Exhausted; the completions found so far are valid
+	// long". When the budget is exhausted the search stops with
+	// StopReason max_calls; the completions found so far are valid
 	// consistent paths but optimality is no longer guaranteed. A query
 	// the reachability check answers makes no call, so no budget trips
 	// on it.
@@ -131,23 +131,6 @@ type Options struct {
 	// The clock is checked every stopCheckInterval traverse calls, so
 	// overrun is bounded by a few microseconds of search work.
 	Deadline time.Duration
-
-	// Parallel, when >= 2, fans the root class's outgoing branches
-	// across up to Parallel worker goroutines, each searching its
-	// subtree with the compiled kernel and a deterministic seed bound;
-	// the branch results are merged in branch order, so the answer set
-	// and its order are reproducible run to run. In exact mode
-	// (DisableBestU) the workers additionally exchange improved best[T]
-	// bounds mid-flight and the result is provably identical to the
-	// sequential search; in the heuristic modes the per-node best[u]
-	// bounds are branch-local (cross-branch bound timing would make
-	// answers nondeterministic), which prunes slightly less than the
-	// sequential sweep. Parallel is ignored — the search stays
-	// sequential — when a Tracer is set (tracing is single-threaded by
-	// contract) or when MaxCalls or MaxPaths budgets are set (their
-	// semantics are inherently traversal-order-dependent). 0 and 1 mean
-	// sequential.
-	Parallel int
 
 	// noCompile disables the compiled transition index, forcing the
 	// dynamic per-visit derivation — the reference configuration the
@@ -276,11 +259,6 @@ type Result struct {
 	Stats Stats
 	// Truncated reports that MaxPaths discarded completions.
 	Truncated bool
-	// Exhausted reports that the MaxCalls budget stopped the search
-	// early; the completions are consistent but possibly suboptimal
-	// and incomplete. It is the MaxCalls-specific view of Aborted,
-	// kept for callers predating StopReason.
-	Exhausted bool
 	// Aborted reports that some bound (MaxCalls, Deadline, or context
 	// cancellation) stopped the search before it exhausted the space.
 	// The completions are valid consistent paths — the best found so
@@ -408,12 +386,12 @@ func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Resu
 	return c.search(ctx, pat, nil), nil
 }
 
-// search dispatches one compiled-pattern search on a pooled engine,
-// which moves over the index cp (pat's own, compiled here, when cp is
-// nil), or over dynamically derived transitions under noCompile. The
+// search runs one compiled-pattern search on a pooled engine, which
+// moves over the index cp (pat's own, compiled here, when cp is nil),
+// or over dynamically derived transitions under noCompile. The
 // engine's reachability check (canComplete) runs first: a pattern with
 // no reachable completing move gets the empty Result without a
-// traversal. Otherwise runEngine searches.
+// traversal. Otherwise the engine runs Algorithm 2.
 func (c *Completer) search(ctx context.Context, pat *pattern, cp *compiled) *Result {
 	if c.opts.noCompile {
 		cp = nil
@@ -423,22 +401,12 @@ func (c *Completer) search(ctx context.Context, pat *pattern, cp *compiled) *Res
 	en := c.getEngineFor(ctx, pat, cp)
 	var res *Result
 	if en.canComplete() {
-		res = c.runEngine(en)
+		res = en.run()
 	} else {
 		res = en.assemble()
 	}
 	c.putEngine(en)
 	return res
-}
-
-// runEngine runs Algorithm 2 on a prepared engine: the parallel
-// root-branch search when eligible (never under noCompile), the
-// sequential traversal otherwise.
-func (c *Completer) runEngine(en *engine) *Result {
-	if en.cp != nil && c.parallelEligible(en.pat, en.cp) {
-		return c.runParallel(en)
-	}
-	return en.run()
 }
 
 // CompleteToClass disambiguates the node-to-node form of Section 3:

@@ -146,7 +146,7 @@ const decisionShown = 2
 func decisionLine(preset, q string, res *core.Result) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s | %s | %+v trunc=%v exh=%v aborted=%v stop=%q | best=%v | support=", preset, q,
-		res.Stats, res.Truncated, res.Exhausted, res.Aborted, res.StopReason, res.Best)
+		res.Stats, res.Truncated, res.StopReason == core.StopMaxCalls, res.Aborted, res.StopReason, res.Best)
 	for _, w := range res.Support {
 		fmt.Fprintf(&b, "%016x", w)
 	}

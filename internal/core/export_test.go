@@ -78,7 +78,7 @@ func SearchBothWays(ctx context.Context, c *Completer, e pathexpr.Expr, classGap
 	}
 	en := c.getEngineFor(ctx, pat, cp)
 	answered = !en.canComplete()
-	searched = c.runEngine(en)
+	searched = en.run()
 	c.putEngine(en)
 	return checked, searched, answered, nil
 }

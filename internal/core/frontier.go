@@ -210,7 +210,6 @@ func (f *Frontier) Advance(ctx context.Context, prefix string, emit func(anchor 
 	if aborted {
 		out.Aborted = true
 		out.StopReason = stop
-		out.Exhausted = out.Exhausted || stop == StopMaxCalls
 	}
 	out.Stats = Stats{Calls: info.Calls}
 	for _, r := range merged {
@@ -226,8 +225,8 @@ func (f *Frontier) Advance(ctx context.Context, prefix string, emit func(anchor 
 // independent — Insert is a fold of AggStar), completions filtered by
 // membership in the merged best set, deduplicated by edge sequence
 // (two anchors — a relationship name and a class name sharing the
-// prefix — can admit the same concrete path), and sorted with the
-// kernel's assemble comparator. Preemption is applied within each
+// prefix — can admit the same concrete path), and sorted into the
+// kernel's result order (sortCompletions). Preemption is applied within each
 // cell by the kernel, never across cells: cells answer different
 // anchors, and the cross-anchor semantics of a prefix query is
 // defined as this merge (CompletePrefixContext is the same merge, so
@@ -268,16 +267,7 @@ func (f *Frontier) merge(cells []*Result) *Result {
 			found = append(found, c)
 		}
 	}
-	sort.Slice(found, func(i, j int) bool {
-		ki, kj := found[i].Label.Key(), found[j].Label.Key()
-		if ki.SemLen != kj.SemLen {
-			return ki.SemLen < kj.SemLen
-		}
-		if a, b := ki.Conn.String(), kj.Conn.String(); a != b {
-			return a < b
-		}
-		return found[i].Path.String() < found[j].Path.String()
-	})
+	sortCompletions(found)
 	return &Result{Completions: found, Best: best.AppendKeys(make([]label.Key, 0, best.Len()))}
 }
 

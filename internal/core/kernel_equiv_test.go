@@ -18,11 +18,11 @@ import (
 //     mode: the compiled index is a pure representation change.
 //   - compiled vs naive enumeration in exact mode — inherited from
 //     equiv_test.go, re-checked here through the pooled warm path.
-//   - parallel vs sequential — identical completions (same Ψ_opt, same
-//     order) in exact mode, bit-for-bit reproducible in all modes.
+//   - one Completer shared by concurrent goroutines — the same answers
+//     as one at a time.
 //
-// The suite runs under -race in CI, which also exercises the worker
-// pool and the shared-bound exchange for data races.
+// The suite runs under -race in CI, which also exercises the engine
+// pool and the base table for data races.
 
 // modesUnderTest returns the option sets the kernel comparison sweeps.
 func modesUnderTest(seed int64) []Options {
@@ -115,154 +115,13 @@ func TestCompiledMatchesDynamic(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequentialExact is the parallel-search
-// equivalence guarantee: in exact mode the parallel search returns
-// identical completions — same Ψ_opt, same order, same best set — as
-// the sequential search (and hence, transitively via
-// TestExactMatchesNaive, as the definitional enumeration).
-func TestParallelMatchesSequentialExact(t *testing.T) {
-	seeds := 40
-	if testing.Short() {
-		seeds = 10
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed * 6947))
-		for _, par := range []int{2, 4, 8} {
-			opts := Exact()
-			opts.E = 1 + int(seed)%3
-			opts.NoPreemption = seed%2 == 1
-			popts := opts
-			popts.Parallel = par
-			seq, pml := New(s, opts), New(s, popts)
-			for _, root := range s.Classes() {
-				if root.Primitive {
-					continue
-				}
-				for _, anchor := range anchors(s, r) {
-					e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-					want, err := seq.Complete(e)
-					if err != nil {
-						continue
-					}
-					got, err := pml.Complete(e)
-					if err != nil {
-						t.Fatalf("seed %d %v: parallel errored: %v", seed, e, err)
-					}
-					if !reflect.DeepEqual(view(got), view(want)) {
-						t.Errorf("seed %d %v parallel=%d:\n parallel:   %+v\n sequential: %+v",
-							seed, e, par, view(got), view(want))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestParallelDeterministic requires bit-for-bit reproducible output
-// from the parallel search in every mode, across repeated runs and
-// across different worker counts — the branch-local-bounds +
-// ordered-merge design argument, empirically.
-func TestParallelDeterministic(t *testing.T) {
-	seeds := 15
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed * 2221))
-		as := anchors(s, r) // drawn once: identical query mix for every worker count
-		for _, base := range modesUnderTest(seed) {
-			var ref map[string]resultView
-			for _, par := range []int{2, 3, 8} {
-				opts := base
-				opts.Parallel = par
-				cmp := New(s, opts)
-				views := map[string]resultView{}
-				for _, root := range s.Classes() {
-					if root.Primitive {
-						continue
-					}
-					for _, anchor := range as {
-						e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-						res, err := cmp.Complete(e)
-						if err != nil {
-							continue
-						}
-						key := fmt.Sprintf("%s|%s", root.Name, anchor)
-						views[key] = view(res)
-						// Repeat on the same (warm) completer.
-						again, err := cmp.Complete(e)
-						if err != nil {
-							t.Fatalf("seed %d %v: repeat errored: %v", seed, e, err)
-						}
-						if !reflect.DeepEqual(views[key], view(again)) {
-							t.Errorf("seed %d %v parallel=%d: nondeterministic across runs:\n first:  %+v\n second: %+v",
-								seed, e, par, views[key], view(again))
-						}
-						// Soundness in every mode: consistent acyclic paths.
-						for _, c := range res.Completions {
-							if !c.Path.Acyclic() || !c.Path.ConsistentWith(e) {
-								t.Errorf("seed %d %v parallel=%d: invalid completion %v", seed, e, par, c.Path)
-							}
-						}
-					}
-				}
-				if ref == nil {
-					ref = views
-				} else if !reflect.DeepEqual(ref, views) {
-					t.Errorf("seed %d opts %+v: output depends on worker count %d", seed, base, par)
-				}
-			}
-		}
-	}
-}
-
-// TestParallelMultiGap pushes the parallel search through multi-gap
-// patterns (numSegs > 1), where the dense state table and the compiled
-// index have non-trivial segment strides.
-func TestParallelMultiGap(t *testing.T) {
-	for seed := int64(100); seed < 112; seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed * 773))
-		as := anchors(s, r)
-		opts := Exact()
-		popts := opts
-		popts.Parallel = 4
-		seq, pml := New(s, opts), New(s, popts)
-		for _, root := range s.Classes() {
-			if root.Primitive {
-				continue
-			}
-			e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{
-				{Gap: true, Name: as[r.Intn(len(as))]},
-				{Gap: true, Name: as[r.Intn(len(as))]},
-			}}
-			want, err := seq.Complete(e)
-			if err != nil {
-				continue
-			}
-			got, err := pml.Complete(e)
-			if err != nil {
-				t.Fatalf("seed %d %v: parallel errored: %v", seed, e, err)
-			}
-			if !reflect.DeepEqual(view(got), view(want)) {
-				t.Errorf("seed %d %v:\n parallel:   %+v\n sequential: %+v", seed, e, view(got), view(want))
-			}
-		}
-	}
-}
-
-// TestParallelConcurrentCompleter hammers one parallel-mode Completer
-// from many goroutines on the same query mix; under -race this checks
-// the pattern memo, the engine pool, and the shared-bound exchange for
-// races, and the results for cross-query contamination.
-func TestParallelConcurrentCompleter(t *testing.T) {
+// TestConcurrentCompleter hammers one Completer from many goroutines on
+// the same query mix; under -race this checks the engine pool and the
+// base table for races, and the results for cross-query contamination.
+func TestConcurrentCompleter(t *testing.T) {
 	s := randSchema(t, 7)
 	r := rand.New(rand.NewSource(7))
-	opts := Exact()
-	opts.Parallel = 4
-	cmp := New(s, opts)
+	cmp := New(s, Exact())
 	type q struct {
 		e    pathexpr.Expr
 		want resultView

@@ -217,9 +217,9 @@ func TestUnanswerableIgnoresBounds(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if got.Aborted || got.Exhausted || got.StopReason != core.StopNone || got.Stats.Calls != 0 {
-			t.Errorf("%s: Aborted=%v Exhausted=%v StopReason=%q Calls=%d, want the unbounded empty answer",
-				tc.name, got.Aborted, got.Exhausted, got.StopReason, got.Stats.Calls)
+		if got.Aborted || got.StopReason != core.StopNone || got.Stats.Calls != 0 {
+			t.Errorf("%s: Aborted=%v StopReason=%q Calls=%d, want the unbounded empty answer",
+				tc.name, got.Aborted, got.StopReason, got.Stats.Calls)
 		}
 		if !reflect.DeepEqual(got, want) || len(got.Completions) != 0 || got.Completions == nil || got.Best == nil {
 			t.Errorf("%s: got %+v, want the non-nil empty answer %+v", tc.name, got, want)

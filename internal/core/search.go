@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"slices"
-	"sort"
+	"strings"
 	"time"
 
 	"pathcomplete/internal/connector"
@@ -94,10 +94,6 @@ type engine struct {
 	seen  []uint64
 	queue []int32
 
-	// shared, when non-nil, is the cross-branch best[T] exchange of the
-	// parallel search (exact mode only; see parallel.go).
-	shared *sharedBound
-
 	found     []foundEntry
 	truncated bool
 	stats     Stats
@@ -133,7 +129,6 @@ func (en *engine) prepare(ctx context.Context, pat *pattern, cp *compiled, opts 
 	}
 	en.checkStop = en.done != nil || en.hasDeadline
 	en.stop = StopNone
-	en.shared = nil
 	en.numSegs = len(pat.segs)
 	en.cols = pat.cols
 	en.totalCols = pat.totalCols
@@ -175,7 +170,6 @@ func (en *engine) release() {
 	en.tracer = nil
 	en.ctx = nil
 	en.done = nil
-	en.shared = nil
 }
 
 // bestSlot returns the best[u] set of state idx, or nil while the state
@@ -301,16 +295,10 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 		en.stop = StopMaxCalls
 		return
 	}
-	// Amortized cancellation/deadline check and (parallel exact mode)
-	// shared-bound refresh: every stopCheckInterval calls, so the fast
-	// path costs one untaken branch per call.
-	if en.stats.Calls&stopCheckMask == 0 {
-		if en.checkStop && en.stopNow() {
-			return
-		}
-		if en.shared != nil {
-			en.refreshShared()
-		}
+	// Amortized cancellation/deadline check: every stopCheckInterval
+	// calls, so the fast path costs one untaken branch per call.
+	if en.checkStop && en.stats.Calls&stopCheckMask == 0 && en.stopNow() {
+		return
 	}
 	en.stats.Calls++
 	if en.tracer != nil {
@@ -484,9 +472,6 @@ func (en *engine) admit(rel schema.Rel, key label.Key) bool {
 		return false
 	}
 	if en.bestT.Insert(key) {
-		if en.shared != nil {
-			en.shared.publish(en.bestT)
-		}
 		en.dropStale()
 	}
 
@@ -521,24 +506,6 @@ func (en *engine) dropStale() {
 		en.found[i] = foundEntry{}
 	}
 	en.found = keep
-}
-
-// admitEntry is admit for an already-materialized entry — the final
-// merge step of the parallel search. MaxPaths does not apply (the
-// parallel path is gated off when it is set).
-func (en *engine) admitEntry(f foundEntry) {
-	if !en.bestT.Fits(f.key) {
-		return
-	}
-	if en.bestT.Insert(f.key) {
-		en.dropStale()
-	}
-	for i := range en.found {
-		if en.found[i].sig == f.sig && relsEqual(en.found[i].rels, f.rels) {
-			return
-		}
-	}
-	en.found = append(en.found, f)
 }
 
 // sigOf hashes the edge sequence path+last with FNV-1a. Duplicate
@@ -697,24 +664,46 @@ func (en *engine) assemble() *Result {
 	if en.opts.PreferSpecific {
 		found = preferSpecific(found)
 	}
-	sort.Slice(found, func(i, j int) bool {
-		ki, kj := found[i].Label.Key(), found[j].Label.Key()
-		if ki.SemLen != kj.SemLen {
-			return ki.SemLen < kj.SemLen
-		}
-		if a, b := ki.Conn.String(), kj.Conn.String(); a != b {
-			return a < b
-		}
-		return found[i].Path.String() < found[j].Path.String()
-	})
+	sortCompletions(found)
 	return &Result{
 		Completions: found,
 		Best:        en.bestT.AppendKeys(make([]label.Key, 0, en.bestT.Len())),
 		Stats:       en.stats,
 		Truncated:   en.truncated,
-		Exhausted:   en.stop == StopMaxCalls,
 		Aborted:     en.stop != StopNone,
 		StopReason:  en.stop,
 		Support:     support,
+	}
+}
+
+// sortCompletions puts completions in result order: shortest semantic
+// length first, then by connector symbol, then by the rendered path.
+// Each path is rendered once per sort rather than on both sides of
+// every comparison. NaiveComplete keeps its own comparator, so the
+// oracle checks this order independently.
+func sortCompletions(cs []Completion) {
+	if len(cs) < 2 {
+		return
+	}
+	type ranked struct {
+		key  label.Key
+		path string
+		c    Completion
+	}
+	rs := make([]ranked, len(cs))
+	for i, c := range cs {
+		rs[i] = ranked{key: c.Label.Key(), path: c.Path.String(), c: c}
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if a.key.SemLen != b.key.SemLen {
+			return a.key.SemLen - b.key.SemLen
+		}
+		if c := strings.Compare(a.key.Conn.String(), b.key.Conn.String()); c != 0 {
+			return c
+		}
+		return strings.Compare(a.path, b.path)
+	})
+	for i := range rs {
+		cs[i] = rs[i].c
 	}
 }

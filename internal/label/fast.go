@@ -97,12 +97,8 @@ func (p Packed) Fits(k Key) bool {
 
 // Insert folds k into the set in place — afterwards p holds
 // AggStar(keys of p ∪ {k}, E) — and reports whether the set changed.
-func (p Packed) Insert(k Key) bool { return p.insertWord(packWord(k)) }
-
-// insertWord folds the keys of one word w (one semantic length, one
-// rank, any connector mask of that rank) into the set and reports
-// whether the set changed.
-func (p Packed) insertWord(w uint64) bool {
+func (p Packed) Insert(k Key) bool {
+	w := packWord(k)
 	if p[0] == 0 || wordRank(w) < wordRank(p[0]) {
 		p[0] = w // the set was empty, or w dominates all of it
 		clear(p[1:])
@@ -127,21 +123,6 @@ func (p Packed) insertWord(w uint64) bool {
 		}
 	}
 	return false // longer than the E-th length: evicted
-}
-
-// Merge folds every key of q into p in place and reports whether p
-// changed; q must have p's E.
-func (p Packed) Merge(q Packed) bool {
-	changed := false
-	for _, w := range q {
-		if w == 0 {
-			break
-		}
-		if p.insertWord(w) {
-			changed = true
-		}
-	}
-	return changed
 }
 
 // Has reports whether k is a member of the set.

@@ -3,7 +3,6 @@ package label
 import (
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 
 	"pathcomplete/internal/connector"
@@ -117,35 +116,20 @@ func TestInsertMatchesAggStar(t *testing.T) {
 
 // TestInsertFoldMatchesBatch verifies the engine's key invariant:
 // folding Insert from the empty set over any insertion order yields
-// the same set as one batch AggStar over all keys, and so does merging
-// the folds of any split of the keys. This is what makes incremental
-// best[] maintenance — and the parallel search's shared and merged
-// best[T] — equivalent to the definitional semantics.
+// the same set as one batch AggStar over all keys. This is what makes
+// incremental best[] maintenance, and Frontier.merge's merged best
+// set, equivalent to the definitional semantics.
 func TestInsertFoldMatchesBatch(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 20000; i++ {
 		e := randE(r)
 		ks := randKeys(r, r.Intn(80))
-		fold, left, right := NewPacked(e), NewPacked(e), NewPacked(e)
-		cut := r.Intn(len(ks) + 1)
-		for j, k := range ks {
+		fold := NewPacked(e)
+		for _, k := range ks {
 			fold.Insert(k)
-			if j < cut {
-				left.Insert(k)
-			} else {
-				right.Insert(k)
-			}
 		}
-		want := packOf(t, AggStar(ks, e), e)
-		if !reflect.DeepEqual(fold, want) {
+		if want := packOf(t, AggStar(ks, e), e); !reflect.DeepEqual(fold, want) {
 			t.Fatalf("iter %d: fold(%v, e=%d) = %v, batch = %v", i, ks, e, fold.AppendKeys(nil), want.AppendKeys(nil))
-		}
-		before := slices.Clone(left)
-		if changed := left.Merge(right); changed != !reflect.DeepEqual(before, want) {
-			t.Fatalf("iter %d: merge of the folds of %v | %v (e=%d) reports changed=%v", i, ks[:cut], ks[cut:], e, changed)
-		}
-		if !reflect.DeepEqual(left, want) {
-			t.Fatalf("iter %d: merge of the folds of %v | %v (e=%d) = %v, batch = %v", i, ks[:cut], ks[cut:], e, left.AppendKeys(nil), want.AppendKeys(nil))
 		}
 	}
 }
@@ -224,9 +208,8 @@ func TestEdgeCacheImmutable(t *testing.T) {
 // TestFitsInsertNoAllocs asserts the packed set is allocation-free —
 // the property the engine's warm-path alloc budget rests on.
 func TestFitsInsertNoAllocs(t *testing.T) {
-	p, q := NewPacked(2), NewPacked(2)
+	p := NewPacked(2)
 	p.Insert(Key{Conn: connector.CAssoc, SemLen: 3})
-	q.Insert(Key{Conn: connector.CHasPart, SemLen: 2})
 	k := Key{Conn: connector.CHasPart, SemLen: 1}
 	dst := make([]Key, 0, 4)
 	if n := testing.AllocsPerRun(100, func() {
@@ -238,10 +221,9 @@ func TestFitsInsertNoAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		p.Insert(k)
-		p.Merge(q)
 		_ = p.AppendKeys(dst[:0])
 		p.Reset()
 	}); n != 0 {
-		t.Fatalf("Insert/Merge/AppendKeys/Reset allocate %v per run", n)
+		t.Fatalf("Insert/AppendKeys/Reset allocate %v per run", n)
 	}
 }

@@ -127,7 +127,6 @@ type Cell struct {
 	NilBest        bool
 	Stats          core.Stats
 	Truncated      bool
-	Exhausted      bool
 	Aborted        bool
 	StopReason     string
 	// Support is the cell's invalidation footprint (core.EdgeSet
@@ -141,11 +140,18 @@ type Cell struct {
 // answer set into a stable string. Two processes whose fingerprints
 // differ must not share closure cells: a cell is the answer the
 // options produced.
+//
+// The literal "parallel=0" stays from when the options had a parallel
+// root-branch search: it keeps the identity of every remaining
+// configuration byte-identical, so files saved before the search was
+// removed still restore. A file saved with the parallel search on
+// (parallel=N, N >= 2) holds answers only that search gave; it no
+// longer matches and is rebuilt.
 func Fingerprint(o core.Options) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "e=%d;caution=%d;slack=%t;nopre=%t;nobt=%t;nobu=%t;noet=%t;maxpaths=%d;prefspec=%t;maxcalls=%d;deadline=%d;parallel=%d",
+	fmt.Fprintf(&sb, "e=%d;caution=%d;slack=%t;nopre=%t;nobt=%t;nobu=%t;noet=%t;maxpaths=%d;prefspec=%t;maxcalls=%d;deadline=%d;parallel=0",
 		o.E, o.Caution, o.SemLenSlack, o.NoPreemption, o.DisableBestT, o.DisableBestU,
-		o.NoEarlyTarget, o.MaxPaths, o.PreferSpecific, o.MaxCalls, int64(o.Deadline), o.Parallel)
+		o.NoEarlyTarget, o.MaxPaths, o.PreferSpecific, o.MaxCalls, int64(o.Deadline))
 	if len(o.Exclude) > 0 {
 		ids := make([]int, 0, len(o.Exclude))
 		for id, on := range o.Exclude {
@@ -204,7 +210,6 @@ func captureCell(root schema.ClassID, res *core.Result) Cell {
 		NilBest:        res.Best == nil,
 		Stats:          res.Stats,
 		Truncated:      res.Truncated,
-		Exhausted:      res.Exhausted,
 		Aborted:        res.Aborted,
 		StopReason:     string(res.StopReason),
 		NilSupport:     res.Support == nil,
@@ -300,7 +305,6 @@ func restoreCell(s *schema.Schema, c Cell) (*core.Result, error) {
 	res := &core.Result{
 		Stats:      c.Stats,
 		Truncated:  c.Truncated,
-		Exhausted:  c.Exhausted,
 		Aborted:    c.Aborted,
 		StopReason: core.StopReason(c.StopReason),
 	}
@@ -448,7 +452,7 @@ func RestoreImage(data []byte, name string, s *schema.Schema, opts core.Options,
 			res.Stats.CautionSaves = int(d.i64())
 			res.Stats.Enumerated = int(d.i64())
 			res.Truncated = d.bool()
-			res.Exhausted = d.bool()
+			d.bool() // the max_calls byte; StopReason carries it
 			res.Aborted = d.bool()
 			res.StopReason = core.StopReason(d.str())
 			nilSup := d.bool()
@@ -549,7 +553,7 @@ func encodeCell(e *enc, c Cell) {
 	e.i64(int64(c.Stats.CautionSaves))
 	e.i64(int64(c.Stats.Enumerated))
 	e.bool(c.Truncated)
-	e.bool(c.Exhausted)
+	e.bool(c.StopReason == string(core.StopMaxCalls)) // PCSNAP02's max_calls byte
 	e.bool(c.Aborted)
 	e.str(c.StopReason)
 	e.bool(c.NilSupport)
@@ -675,7 +679,7 @@ func decodeCell(d *dec) Cell {
 	c.Stats.CautionSaves = int(d.i64())
 	c.Stats.Enumerated = int(d.i64())
 	c.Truncated = d.bool()
-	c.Exhausted = d.bool()
+	d.bool() // the max_calls byte; StopReason carries it
 	c.Aborted = d.bool()
 	c.StopReason = d.str()
 	c.NilSupport = d.bool()

@@ -281,7 +281,9 @@ func TestStoreStaleOptions(t *testing.T) {
 
 // TestFingerprintCoversAnswerOptions: every answer-affecting Options
 // field must move the fingerprint — a field silently missing here is
-// how a stale cell gets served.
+// how a stale cell gets served. Every exported field but Tracer, which
+// observes a search without changing it, must have a variant, so a
+// field added to Options cannot drop out of the identity unnoticed.
 func TestFingerprintCoversAnswerOptions(t *testing.T) {
 	base := persist.Fingerprint(core.Options{})
 	variants := []core.Options{
@@ -296,7 +298,6 @@ func TestFingerprintCoversAnswerOptions(t *testing.T) {
 		{PreferSpecific: true},
 		{MaxCalls: 100},
 		{Deadline: 1},
-		{Parallel: 4},
 		{Exclude: map[schema.ClassID]bool{3: true}},
 	}
 	for i, o := range variants {
@@ -304,11 +305,46 @@ func TestFingerprintCoversAnswerOptions(t *testing.T) {
 			t.Errorf("variant %d (%+v) does not change the fingerprint", i, o)
 		}
 	}
+	fields := reflect.TypeOf(core.Options{})
+	for i := 0; i < fields.NumField(); i++ {
+		f := fields.Field(i)
+		if !f.IsExported() || f.Name == "Tracer" {
+			continue
+		}
+		covered := false
+		for _, o := range variants {
+			if !reflect.ValueOf(o).Field(i).IsZero() {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			t.Errorf("core.Options.%s has no variant: add one here, and to Fingerprint if it can change an answer", f.Name)
+		}
+	}
 	// Exclude ordering is canonical: equal sets fingerprint equally.
 	a := persist.Fingerprint(core.Options{Exclude: map[schema.ClassID]bool{1: true, 9: true}})
 	b := persist.Fingerprint(core.Options{Exclude: map[schema.ClassID]bool{9: true, 1: true}})
 	if a != b {
 		t.Error("equal Exclude sets fingerprint differently")
+	}
+}
+
+// TestFingerprintStable pins the closure identity of the engine
+// presets byte for byte, "parallel=0" included, so files saved by
+// earlier builds keep restoring instead of being quarantined as stale.
+func TestFingerprintStable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts core.Options
+		want string
+	}{
+		{"paper", core.Paper(), "e=1;caution=0;slack=false;nopre=false;nobt=false;nobu=false;noet=false;maxpaths=0;prefspec=false;maxcalls=0;deadline=0;parallel=0"},
+		{"exact", core.Exact(), "e=1;caution=0;slack=false;nopre=false;nobt=false;nobu=true;noet=false;maxpaths=0;prefspec=false;maxcalls=0;deadline=0;parallel=0"},
+	} {
+		if got := persist.Fingerprint(tc.opts); got != tc.want {
+			t.Errorf("Fingerprint(%s) = %q, want %q", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -234,7 +234,7 @@ func (m *metrics) observeSearch(res *core.Result, elapsed time.Duration, traceID
 	m.prunedBestU.Add(uint64(res.Stats.PrunedBestU))
 	m.cautionSaves.Add(uint64(res.Stats.CautionSaves))
 	m.completions.Add(uint64(len(res.Completions)))
-	if res.Exhausted {
+	if res.StopReason == core.StopMaxCalls {
 		m.exhausted.Inc()
 	}
 	if res.Truncated {

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"pathcomplete/internal/core"
+	"pathcomplete/internal/obs"
 	"pathcomplete/internal/uni"
 )
 
@@ -105,6 +106,18 @@ func TestMetricsEndpoint(t *testing.T) {
 	// GET /metrics rendering this exposition) is in progress.
 	if v := metricValue(text, "http_in_flight_requests"); v != 1 {
 		t.Errorf("in-flight during scrape = %g, want 1 (the scrape itself)", v)
+	}
+}
+
+// TestExhaustedCountsMaxCallsStops: the exhausted counter reads the
+// search's stop reason, so a MaxCalls stop counts and no other does.
+func TestExhaustedCountsMaxCallsStops(t *testing.T) {
+	m := newMetrics(obs.NewRegistry())
+	for _, stop := range []core.StopReason{core.StopNone, core.StopMaxCalls, core.StopDeadline, core.StopCanceled} {
+		m.observeSearch(&core.Result{Aborted: stop != core.StopNone, StopReason: stop}, 0, "")
+	}
+	if got := m.exhausted.Value(); got != 1 {
+		t.Errorf("pathcomplete_search_exhausted_total = %d after one max_calls stop among four searches, want 1", got)
 	}
 }
 

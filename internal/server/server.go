@@ -628,7 +628,6 @@ type CompleteResponse struct {
 	Completions []CompletionJSON `json:"completions"`
 	Calls       int              `json:"calls"`
 	Truncated   bool             `json:"truncated,omitempty"`
-	Exhausted   bool             `json:"exhausted,omitempty"`
 	Cached      bool             `json:"cached,omitempty"`
 	// Aborted and StopReason report graceful degradation: a bound
 	// (call budget, deadline, or cancellation) stopped the search,
@@ -874,7 +873,6 @@ func (sv *Server) completeResponse(sn *registry.Snapshot, c completed) CompleteR
 		Generation: sn.Generation(),
 		Calls:      res.Stats.Calls,
 		Truncated:  res.Truncated,
-		Exhausted:  res.Exhausted,
 		Cached:     c.cached,
 		Shared:     c.shared,
 		Engine:     c.engine,
