@@ -16,14 +16,10 @@
 //	curl -s -X POST localhost:8080/v1/schemas/reload
 //	curl -s localhost:8080/v1/explain -d '{"expr":"ta~name"}'
 //	curl -s 'localhost:8080/v1/explain?expr=ta~name'
-//	curl -s localhost:8080/complete -d '{"expr":"ta~name"}'          # deprecated, still served (see -legacy-routes)
-//	curl -s localhost:8080/complete?schema=parts -d '{"expr":"p~weight"}'
-//	curl -s localhost:8080/schemas
-//	curl -s -X POST localhost:8080/schemas/reload
-//	curl -s localhost:8080/complete -d '{"expr":"ta~name","trace":true}'
-//	curl -s localhost:8080/complete -d '{"expr":"ta~name","timeoutMs":50}'
-//	curl -s localhost:8080/evaluate -d '{"expr":"ta~name","approve":[0]}'
-//	curl -s localhost:8080/schema
+//	curl -s 'localhost:8080/v1/complete?schema=parts' -d '{"expr":"p~weight"}'
+//	curl -s localhost:8080/v1/complete -d '{"expr":"ta~name","trace":true}'
+//	curl -s localhost:8080/v1/complete -d '{"expr":"ta~name","timeoutMs":50}'
+//	curl -s localhost:8080/v1/evaluate -d '{"expr":"ta~name","approve":[0]}'
 //	curl -s localhost:8080/stats
 //	curl -s localhost:8080/metrics
 //	curl -s localhost:8080/healthz
@@ -44,7 +40,7 @@
 //
 // With -schemas-dir the server is multi-schema: every *.sdl file in
 // the directory is served under its base name, requests pick one with
-// ?schema=, and SIGHUP (or POST /schemas/reload) reparses the
+// ?schema=, and SIGHUP (or POST /v1/schemas/reload) reparses the
 // directory and swaps atomically — in-flight searches finish on the
 // snapshot they started with, and a failed reload leaves the previous
 // generation serving.
@@ -102,7 +98,6 @@ type config struct {
 	pprofOn       bool
 	cacheCap      int
 	quiet         bool
-	legacyRoutes  string // legacy (pre-/v1) route mode: on, warn, off
 
 	// Hardened-path knobs.
 	timeout     time.Duration // default per-request search deadline (0: none)
@@ -138,7 +133,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&cfg.schemaName, "schema", "university", "built-in schema: university, parts, or cupid")
 	fs.StringVar(&cfg.sdlPath, "sdl", "", "load the schema from an SDL file instead")
-	fs.StringVar(&cfg.schemasDir, "schemas-dir", "", "serve every *.sdl schema in this directory (multi-schema mode; SIGHUP or POST /schemas/reload hot-reloads it)")
+	fs.StringVar(&cfg.schemasDir, "schemas-dir", "", "serve every *.sdl schema in this directory (multi-schema mode; SIGHUP or POST /v1/schemas/reload hot-reloads it)")
 	fs.StringVar(&cfg.defaultSchema, "default-schema", "", "schema name requests without ?schema= resolve to (multi-schema mode; default: first name in sorted order)")
 	fs.StringVar(&cfg.storePath, "store", "", "load object data from a snapshot file")
 	fs.BoolVar(&cfg.sample, "sample", false, "mount the built-in sample data (university only)")
@@ -147,7 +142,6 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&cfg.pprofOn, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	fs.IntVar(&cfg.cacheCap, "cache", server.DefaultCacheCap, "completion memo cache bound (entries, >= 0)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-request logging")
-	fs.StringVar(&cfg.legacyRoutes, "legacy-routes", server.LegacyWarn, "legacy (pre-/v1) route serving: on (deprecation headers only), warn (adds the RFC 8594 Sunset date and a one-time log per route), off (410 Gone naming the /v1 successor)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "default per-request search deadline (0: none beyond -max-timeout)")
 	fs.DurationVar(&cfg.maxTimeout, "max-timeout", server.DefaultMaxTimeout, "cap on any per-request timeoutMs")
 	fs.IntVar(&cfg.maxInflight, "max-inflight", server.DefaultMaxConcurrent, "max searches running at once")
@@ -185,11 +179,6 @@ func (cfg config) validate() error {
 	case "paper", "safe", "exact":
 	default:
 		return fmt.Errorf("unknown engine %q (want paper, safe, or exact)", cfg.engine)
-	}
-	switch cfg.legacyRoutes {
-	case "", server.LegacyOn, server.LegacyWarn, server.LegacyOff: // "": the server default (warn)
-	default:
-		return fmt.Errorf("unknown -legacy-routes mode %q (want on, warn, or off)", cfg.legacyRoutes)
 	}
 	if cfg.sample && (cfg.schemaName != "university" || cfg.sdlPath != "") {
 		return fmt.Errorf("-sample only applies to -schema university")
@@ -417,7 +406,8 @@ loop:
 }
 
 // build assembles the server from the validated config; split from run
-// so the wiring is testable without binding a port.
+// so the wiring is testable without binding a port. It returns the
+// server and its default schema.
 func build(cfg config) (*server.Server, *schema.Schema, error) {
 	var opts core.Options
 	switch cfg.engine {
@@ -432,47 +422,53 @@ func build(cfg config) (*server.Server, *schema.Schema, error) {
 	}
 	opts.E = cfg.e
 
+	reg, err := cfg.loadRegistry(opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	sv := server.NewFromRegistry(reg)
+	sv.SetCacheCap(cfg.cacheCap)
+	sv.SetLimits(server.Limits{
+		DefaultTimeout:  cfg.timeout,
+		MaxTimeout:      cfg.maxTimeout,
+		MaxConcurrent:   cfg.maxInflight,
+		MaxQueue:        cfg.queue,
+		MaxBodyBytes:    cfg.maxBody,
+		MaxSessions:     cfg.maxSessions,
+		SessionDebounce: cfg.sessionDebounce,
+	})
+	if err := cfg.setupPersist(sv); err != nil {
+		return nil, nil, err
+	}
+	if cfg.closureOn {
+		sv.EnableClosure(cfg.closureWorkers, cfg.closureMaxBytes)
+	}
+	cfg.applyTracing(sv)
+	sn, err := reg.Acquire("")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer sn.Release()
+	return sv, sn.Schema(), nil
+}
+
+// loadRegistry loads the schemas to serve. In multi-schema mode every
+// *.sdl file of -schemas-dir is served under its base name, and SIGHUP
+// and POST /v1/schemas/reload reparse the directory and swap
+// atomically; otherwise the one schema of -sdl or -schema is served
+// with its optional object store.
+func (cfg config) loadRegistry(opts core.Options) (*registry.Registry, error) {
 	if cfg.schemasDir != "" {
-		// Multi-schema mode: every *.sdl file in the directory is served
-		// under its base name; SIGHUP and POST /schemas/reload reparse
-		// the directory and swap atomically.
 		reg := registry.New(opts)
 		if err := reg.LoadDir(cfg.schemasDir); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if cfg.defaultSchema != "" {
 			if err := reg.SetDefault(cfg.defaultSchema); err != nil {
-				return nil, nil, fmt.Errorf("-default-schema: %w", err)
+				return nil, fmt.Errorf("-default-schema: %w", err)
 			}
 		}
-		sv := server.NewFromRegistry(reg)
-		sv.SetCacheCap(cfg.cacheCap)
-		sv.SetLimits(server.Limits{
-			DefaultTimeout: cfg.timeout,
-			MaxTimeout:     cfg.maxTimeout,
-			MaxConcurrent:  cfg.maxInflight,
-			MaxQueue:       cfg.queue,
-			MaxBodyBytes:   cfg.maxBody,
-		})
-		if cfg.legacyRoutes != "" {
-			if err := sv.SetLegacyRoutes(cfg.legacyRoutes); err != nil {
-				return nil, nil, err
-			}
-		}
-		if err := cfg.setupPersist(sv); err != nil {
-			return nil, nil, err
-		}
-		if cfg.closureOn {
-			sv.EnableClosure(cfg.closureWorkers, cfg.closureMaxBytes)
-		}
-		cfg.applyTracing(sv)
-		sn, err := reg.Acquire("")
-		if err != nil {
-			return nil, nil, err
-		}
-		s := sn.Schema()
-		sn.Release()
-		return sv, s, nil
+		return reg, nil
 	}
 
 	var (
@@ -483,12 +479,12 @@ func build(cfg config) (*server.Server, *schema.Schema, error) {
 	case cfg.sdlPath != "":
 		f, err := os.Open(cfg.sdlPath)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s, err = sdl.Parse(f)
 		f.Close()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	case cfg.schemaName == "university":
 		if cfg.sample {
@@ -502,47 +498,24 @@ func build(cfg config) (*server.Server, *schema.Schema, error) {
 	case cfg.schemaName == "cupid":
 		w, err := cupid.Generate(cupid.DefaultConfig())
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		s = w.Schema
 	default:
-		return nil, nil, fmt.Errorf("unknown schema %q", cfg.schemaName)
+		return nil, fmt.Errorf("unknown schema %q", cfg.schemaName)
 	}
 	if cfg.storePath != "" {
 		f, err := os.Open(cfg.storePath)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		store, err = objstore.Load(s, f)
 		f.Close()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	sv := server.New(s, store, opts)
-	sv.SetCacheCap(cfg.cacheCap)
-	sv.SetLimits(server.Limits{
-		DefaultTimeout:  cfg.timeout,
-		MaxTimeout:      cfg.maxTimeout,
-		MaxConcurrent:   cfg.maxInflight,
-		MaxQueue:        cfg.queue,
-		MaxBodyBytes:    cfg.maxBody,
-		MaxSessions:     cfg.maxSessions,
-		SessionDebounce: cfg.sessionDebounce,
-	})
-	if cfg.legacyRoutes != "" {
-		if err := sv.SetLegacyRoutes(cfg.legacyRoutes); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := cfg.setupPersist(sv); err != nil {
-		return nil, nil, err
-	}
-	if cfg.closureOn {
-		sv.EnableClosure(cfg.closureWorkers, cfg.closureMaxBytes)
-	}
-	cfg.applyTracing(sv)
-	return sv, s, nil
+	return registry.Static(s, store, opts), nil
 }
 
 // setupPersist opens the durable store under -data-dir and wires it

@@ -62,26 +62,36 @@ func TestBuildVariants(t *testing.T) {
 	}
 }
 
-// TestBuildAppliesLimits: the hardened-path flags land on the server's
-// resolved limits.
+// TestBuildAppliesLimits: the hardened-path and session flags land on
+// the server's resolved limits, in single- and multi-schema mode alike.
 func TestBuildAppliesLimits(t *testing.T) {
-	sv, _, err := build(config{
-		schemaName:  "university",
-		engine:      "paper",
-		e:           1,
-		timeout:     2 * time.Second,
-		maxTimeout:  10 * time.Second,
-		maxInflight: 7,
-		queue:       3,
-		maxBody:     2048,
-	})
-	if err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "tiny.sdl"), []byte("schema tiny\nisa a b\nattr b v I\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	lim := sv.Limits()
-	if lim.DefaultTimeout != 2*time.Second || lim.MaxTimeout != 10*time.Second ||
-		lim.MaxConcurrent != 7 || lim.MaxQueue != 3 || lim.MaxBodyBytes != 2048 {
-		t.Errorf("limits = %+v", lim)
+	for _, schemasDir := range []string{"", dir} {
+		sv, _, err := build(config{
+			schemaName:      "university",
+			schemasDir:      schemasDir,
+			engine:          "paper",
+			e:               1,
+			timeout:         2 * time.Second,
+			maxTimeout:      10 * time.Second,
+			maxInflight:     7,
+			queue:           3,
+			maxBody:         2048,
+			maxSessions:     3,
+			sessionDebounce: -time.Nanosecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lim := sv.Limits()
+		if lim.DefaultTimeout != 2*time.Second || lim.MaxTimeout != 10*time.Second ||
+			lim.MaxConcurrent != 7 || lim.MaxQueue != 3 || lim.MaxBodyBytes != 2048 ||
+			lim.MaxSessions != 3 || lim.SessionDebounce != -time.Nanosecond {
+			t.Errorf("schemas-dir %q: limits = %+v", schemasDir, lim)
+		}
 	}
 }
 
@@ -135,8 +145,6 @@ func TestValidateFlags(t *testing.T) {
 		{"queue below -1", func(c *config) { c.queue = -2 }, "-queue must be >= -1"},
 		{"negative body cap", func(c *config) { c.maxBody = -5 }, "-max-body must be >= 0"},
 		{"bad faults spec", func(c *config) { c.faults = "delay=lots" }, "-faults"},
-		{"bad legacy-routes mode", func(c *config) { c.legacyRoutes = "maybe" }, "unknown -legacy-routes mode"},
-		{"legacy-routes off ok", func(c *config) { c.legacyRoutes = "off" }, ""},
 		{"queue minus one ok", func(c *config) { c.queue = -1 }, ""},
 		{"trace-sample negative", func(c *config) { c.traceSample = -0.1 }, "-trace-sample must be in [0, 1]"},
 		{"trace-sample above one", func(c *config) { c.traceSample = 1.5 }, "-trace-sample must be in [0, 1]"},
@@ -209,8 +217,12 @@ func TestParseFlags(t *testing.T) {
 	if _, err := parseFlags([]string{"-e", "not-a-number"}); err == nil {
 		t.Error("unparsable flag value should error")
 	}
-	if _, err := parseFlags([]string{"-parallel", "2"}); err == nil {
-		t.Error("-parallel is no longer a flag and should error")
+	// Retired flags are unknown flags, not silently ignored ones.
+	for _, args := range [][]string{{"-parallel", "2"}, {"-legacy-routes", "off"}} {
+		_, err := parseFlags(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("parseFlags(%q) = %v, want an undefined-flag error", args, err)
+		}
 	}
 }
 

@@ -108,8 +108,8 @@ func (w *statusWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 // inbound W3C traceparent, opens the request's root span named
 // "METHOD route-template" (the inbound sampled flag is honored
 // subject to the pipeline's TraceConfig.InboundLimit — it is
-// client-controlled), echoes the resulting traceparent on the
-// response (every surface, legacy routes included), stamps the
+// client-controlled), echoes the resulting traceparent on every
+// response, stamps the
 // terminal status on the span, and — when the trace is retained —
 // records a trace-ID exemplar on the route's latency histogram. All
 // of it is skipped at the cost of one nil test when tracing is off.

@@ -13,7 +13,7 @@
 //   - Acquire(name) returns the current Snapshot of the named schema
 //     with its refcount incremented; the caller searches against it and
 //     then calls Release exactly once.
-//   - Reload (SIGHUP, POST /schemas/reload, or a programmatic call)
+//   - Reload (SIGHUP, POST /v1/schemas/reload, or a programmatic call)
 //     parses the SDL directory into a fresh generation of snapshots and
 //     swaps the table atomically. In-flight searches finish on the
 //     snapshot they acquired; a superseded snapshot is retired when its

@@ -2,8 +2,8 @@ package server
 
 // Admission control for the search endpoints. Cheap read-only
 // endpoints (/healthz, /metrics, ...) are never gated — an overloaded
-// process must stay observable — but /complete and /evaluate run
-// Algorithm 2, whose worst case is exponential in the schema, so the
+// process must stay observable — but /v1/complete and /v1/evaluate
+// run Algorithm 2, whose worst case is exponential in the schema, so the
 // number running at once is bounded by a semaphore with a bounded wait
 // queue. Requests beyond the queue are shed immediately with
 // 429 + Retry-After: under overload a fast "come back later" beats a

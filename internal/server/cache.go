@@ -91,16 +91,13 @@ type shardedCache struct {
 	deletes int
 }
 
-func newShardedCache(maxEntries int, budget int64) *shardedCache {
+func newShardedCache(maxEntries int) *shardedCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheCap
 	}
-	if budget <= 0 {
-		budget = DefaultCacheBudget
-	}
 	return &shardedCache{
 		maxEntries: maxEntries,
-		budget:     budget,
+		budget:     DefaultCacheBudget,
 		ll:         list.New(),
 		items:      make(map[cacheKey]*list.Element),
 		perShard:   make(map[shardID]int),

@@ -28,7 +28,7 @@ func TestMemoChurnHeapFlat(t *testing.T) {
 		return cacheKey{shard: shardID{schema: "s", gen: 1}, expr: "k" + strconv.Itoa(i), e: 1}
 	}
 	base := liveHeap()
-	c := newShardedCache(live, 0)
+	c := newShardedCache(live)
 	retained := func(from, to int) uint64 {
 		for i := from; i < to; i++ {
 			c.put(key(i), res)

@@ -45,7 +45,7 @@ func sumRequestsTotal(text string) int {
 		if !strings.HasPrefix(line, `http_requests_total{`) {
 			continue
 		}
-		if !strings.Contains(line, `path="/complete"`) && !strings.Contains(line, `path="/evaluate"`) {
+		if !strings.Contains(line, `path="/v1/complete"`) && !strings.Contains(line, `path="/v1/evaluate"`) {
 			continue
 		}
 		var v int
@@ -76,16 +76,16 @@ func TestChaosHandlerUnderFaultInjection(t *testing.T) {
 	// some tightly bounded), evaluations, and malformed requests.
 	type reqSpec struct{ path, body string }
 	mix := []reqSpec{
-		{"/complete", `{"expr":"ta~name"}`},
-		{"/complete", `{"expr":"ta~credits"}`},
-		{"/complete", `{"expr":"student~name","trace":true}`},
-		{"/complete", `{"expr":"department~name","timeoutMs":5}`},
-		{"/complete", `{"expr":"ta..name"}`},        // unparsable: 400
-		{"/complete", `{"expr":`},                   // malformed JSON: 400
-		{"/evaluate", `{"expr":"student~credits"}`}, // store-backed: hits store.eval
-		{"/evaluate", `{"expr":"department~name"}`}, // store-backed
-		{"/complete", `{"expr":"university~name"}`}, // cacheable
-		{"/complete", `{"expr":"professor~name","e":3}`},
+		{"/v1/complete", `{"expr":"ta~name"}`},
+		{"/v1/complete", `{"expr":"ta~credits"}`},
+		{"/v1/complete", `{"expr":"student~name","trace":true}`},
+		{"/v1/complete", `{"expr":"department~name","timeoutMs":5}`},
+		{"/v1/complete", `{"expr":"ta..name"}`},        // unparsable: 400
+		{"/v1/complete", `{"expr":`},                   // malformed JSON: 400
+		{"/v1/evaluate", `{"expr":"student~credits"}`}, // store-backed: hits store.eval
+		{"/v1/evaluate", `{"expr":"department~name"}`}, // store-backed
+		{"/v1/complete", `{"expr":"university~name"}`}, // cacheable
+		{"/v1/complete", `{"expr":"professor~name","e":3}`},
 	}
 
 	var (
@@ -211,7 +211,7 @@ func TestChaosHandlerUnderFaultInjection(t *testing.T) {
 	}
 
 	// The process is still healthy: a clean request succeeds.
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-chaos request: status = %d (body %s)", resp.StatusCode, body)
 	}

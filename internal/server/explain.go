@@ -102,14 +102,14 @@ func (sv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if raw := r.URL.Query().Get("e"); raw != "" {
 			e, err := strconv.Atoi(raw)
 			if err != nil {
-				sv.jsonError(w, r, http.StatusBadRequest, "bad request: e is not an integer: "+raw)
+				sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, "bad request: e is not an integer: "+raw)
 				return
 			}
 			req.E = e
 		}
 	} else {
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			sv.jsonError(w, r, decodeStatus(err), "bad request: "+err.Error())
+			sv.jsonError(w, r, decodeStatus(err), CodeBadRequest, "bad request: "+err.Error())
 			return
 		}
 	}
@@ -117,7 +117,7 @@ func (sv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// force a cache-bypassing fresh search.
 	req.Trace = false
 	if err := sv.validateComplete(&req); err != nil {
-		sv.jsonError(w, r, http.StatusBadRequest, err.Error())
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	sn, ok := sv.acquireSnapshot(w, r)
@@ -139,7 +139,7 @@ func (sv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	c, status, err := sv.complete(ctx, sn, req)
 	if err != nil {
 		obs.SpanFromContext(r.Context()).SetError(err.Error())
-		sv.jsonError(w, r, status, err.Error())
+		sv.jsonError(w, r, status, errCode(status), err.Error())
 		return
 	}
 	obs.SpanFromContext(r.Context()).SetAttr(obs.AttrEngine, c.engine)

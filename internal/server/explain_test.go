@@ -3,9 +3,8 @@ package server
 // Goldens for the richer-gap-semantics surface: the /v1/explain
 // provenance view (wire-level replay: every step chains through the
 // CON table to the ranked label, every step's edge appears in the
-// support set), the meta.apiVersion and meta.constrained stamps, the
-// legacy-route serving modes, and the pre-upgrade unknown-schema 404
-// on /v1/sessions.
+// support set), the meta.apiVersion and meta.constrained stamps, and
+// the pre-upgrade unknown-schema 404 on /v1/sessions.
 
 import (
 	"encoding/json"
@@ -13,9 +12,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"pathcomplete/internal/core"
-	"pathcomplete/internal/uni"
 )
 
 // decodeExplain unwraps a /v1/explain envelope.
@@ -266,81 +262,6 @@ func TestV1ApiVersionStamped(t *testing.T) {
 			t.Errorf("%s: meta.apiVersion = %q, want %q", path, env.Meta.ApiVersion, APIVersion)
 		}
 	}
-}
-
-// TestLegacyRouteModes drives the three -legacy-routes modes: "on"
-// keeps serving with only the deprecation headers, "warn" (default)
-// adds the RFC 8594 Sunset date, "off" answers 410 Gone with the
-// legacy error shape naming the successor.
-func TestLegacyRouteModes(t *testing.T) {
-	t.Run("on", func(t *testing.T) {
-		sv := New(uni.New(), nil, core.Exact())
-		if err := sv.SetLegacyRoutes(LegacyOn); err != nil {
-			t.Fatal(err)
-		}
-		ts := newTS(t, sv)
-		resp, body := post(t, ts+"/complete", `{"expr":"ta~name"}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d: %s", resp.StatusCode, body)
-		}
-		if resp.Header.Get("Deprecation") != "true" || resp.Header.Get("Link") == "" {
-			t.Errorf("deprecation headers missing in mode on: %v", resp.Header)
-		}
-		if got := resp.Header.Get("Sunset"); got != "" {
-			t.Errorf("Sunset = %q in mode on, want absent", got)
-		}
-	})
-
-	t.Run("warn is the default and stamps Sunset", func(t *testing.T) {
-		sv := New(uni.New(), nil, core.Exact())
-		ts := newTS(t, sv)
-		resp, body := post(t, ts+"/complete", `{"expr":"ta~name"}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status = %d: %s", resp.StatusCode, body)
-		}
-		if got := resp.Header.Get("Sunset"); got != LegacySunset {
-			t.Errorf("Sunset = %q, want %q", got, LegacySunset)
-		}
-	})
-
-	t.Run("off", func(t *testing.T) {
-		sv := New(uni.New(), nil, core.Exact())
-		if err := sv.SetLegacyRoutes(LegacyOff); err != nil {
-			t.Fatal(err)
-		}
-		ts := newTS(t, sv)
-		resp, body := post(t, ts+"/complete", `{"expr":"ta~name"}`)
-		if resp.StatusCode != http.StatusGone {
-			t.Fatalf("status = %d, want 410: %s", resp.StatusCode, body)
-		}
-		var legacy map[string]any
-		if err := json.Unmarshal([]byte(body), &legacy); err != nil {
-			t.Fatalf("410 body is not JSON: %v\n%s", err, body)
-		}
-		msg, _ := legacy["error"].(string)
-		if !strings.Contains(msg, "/v1/complete") {
-			t.Errorf("410 error %q does not name the successor", msg)
-		}
-		if resp.Header.Get("Sunset") != LegacySunset {
-			t.Errorf("Sunset = %q in mode off", resp.Header.Get("Sunset"))
-		}
-		if got := sv.met.deprecated.With("/complete").Value(); got != 1 {
-			t.Errorf("deprecation count = %d, want 1 (off still counts)", got)
-		}
-
-		// The versioned surface is untouched by off.
-		vresp, vbody := post(t, ts+"/v1/complete", `{"expr":"ta~name"}`)
-		if vresp.StatusCode != http.StatusOK {
-			t.Errorf("/v1/complete status = %d in mode off: %s", vresp.StatusCode, vbody)
-		}
-	})
-
-	t.Run("invalid mode rejected", func(t *testing.T) {
-		sv := New(uni.New(), nil, core.Exact())
-		if err := sv.SetLegacyRoutes("maybe"); err == nil {
-			t.Error("SetLegacyRoutes(maybe) accepted")
-		}
-	})
 }
 
 // TestSessionsUnknownSchema: an upgrade handshake naming an unknown

@@ -33,7 +33,7 @@ const (
 	DefaultMaxE = 64
 	// DefaultMaxTraceEvents caps a request's traceLimit.
 	DefaultMaxTraceEvents = 100_000
-	// DefaultMaxBatch caps the number of queries in one /completeBatch
+	// DefaultMaxBatch caps the number of queries in one /v1/completeBatch
 	// request.
 	DefaultMaxBatch = 64
 	// DefaultMaxSessions caps concurrently open interactive WebSocket
@@ -69,7 +69,7 @@ type Limits struct {
 	MaxE int
 	// MaxTraceEvents caps the request "traceLimit".
 	MaxTraceEvents int
-	// MaxBatch caps the number of queries in one /completeBatch body.
+	// MaxBatch caps the number of queries in one /v1/completeBatch body.
 	MaxBatch int
 	// MaxSessions caps concurrently open interactive sessions.
 	MaxSessions int

@@ -94,9 +94,6 @@ type metrics struct {
 	sessionRebinds   *obs.Counter
 	sessionErrors    *obs.CounterVec
 	schemaSessions   *obs.CounterVec
-
-	// Versioned API: requests still arriving on pre-/v1 routes.
-	deprecated *obs.CounterVec
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -212,8 +209,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Error frames sent to session clients, by protocol error code.", "code"),
 		schemaSessions: reg.CounterVec("pathcomplete_schema_sessions_total",
 			"Interactive sessions accepted, by schema.", "schema"),
-		deprecated: reg.CounterVec("pathcomplete_deprecated_requests_total",
-			"Requests served on deprecated pre-/v1 routes (answered with a Deprecation header).", "route"),
 	}
 }
 

@@ -1,6 +1,6 @@
 package server
 
-// Multi-schema serving-path tests: the /schemas listing, schema
+// Multi-schema serving-path tests: the /v1/schemas listing, schema
 // selection and 404s, per-schema cache shard isolation, hot reload
 // invalidation (a post-reload query must never see a pre-reload
 // answer), and the HTTP-level reload race drill (zero non-200s across
@@ -8,7 +8,6 @@ package server
 // assertion at the end).
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -65,39 +64,31 @@ func multiServer(t *testing.T, files map[string]string) (*Server, *httptest.Serv
 // completeHTTP posts one completion query and decodes the response.
 func completeHTTP(t *testing.T, url, schema, expr string) (int, CompleteResponse, string) {
 	t.Helper()
-	u := url + "/complete"
+	u := url + "/v1/complete"
 	if schema != "" {
 		u += "?schema=" + schema
 	}
 	resp, body := post(t, u, fmt.Sprintf(`{"expr": %q}`, expr))
 	var out CompleteResponse
 	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal([]byte(body), &out); err != nil {
-			t.Fatalf("decode %q: %v", body, err)
-		}
+		decodeData(t, body, &out)
 	}
 	return resp.StatusCode, out, body
 }
 
-// TestSchemasGolden pins the exact shape of the /schemas listing for a
+// TestSchemasGolden pins the exact shape of the /v1/schemas listing for a
 // two-schema registry: names sorted, shape counts, the default flag on
 // exactly the default entry, and fresh generations (normalized before
 // the golden comparison because the load order of a directory's files
 // is not specified).
 func TestSchemasGolden(t *testing.T) {
 	_, ts, _ := multiServer(t, map[string]string{"alpha": msSchemaV1, "beta": msSchemaV2})
-	resp, err := http.Get(ts.URL + "/schemas")
-	if err != nil {
-		t.Fatalf("GET /schemas: %v", err)
-	}
-	defer resp.Body.Close()
+	resp, body := getBody(t, ts.URL+"/v1/schemas")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	var got SchemasResponse
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body, &got)
 	// The two snapshots carry generations {1, 2} in load order, which is
 	// unspecified for a directory; assert the set and then normalize.
 	gens := map[uint64]bool{}
@@ -121,7 +112,7 @@ func TestSchemasGolden(t *testing.T) {
 		},
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("/schemas mismatch:\n got:  %+v\n want: %+v", got, want)
+		t.Errorf("/v1/schemas mismatch:\n got:  %+v\n want: %+v", got, want)
 	}
 }
 
@@ -132,18 +123,13 @@ func TestUnknownSchema404(t *testing.T) {
 	sv, ts, _ := multiServer(t, map[string]string{"alpha": msSchemaV1})
 	status, _, body := completeHTTP(t, ts.URL, "nope", "a~name")
 	if status != http.StatusNotFound {
-		t.Errorf("POST /complete?schema=nope: status = %d, want 404 (%s)", status, body)
+		t.Errorf("POST /v1/complete?schema=nope: status = %d, want 404 (%s)", status, body)
 	}
 	if !strings.Contains(body, "unknown schema") {
 		t.Errorf("404 body lacks the cause: %q", body)
 	}
-	resp, err := http.Get(ts.URL + "/schema?schema=nope")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /schema?schema=nope: status = %d, want 404", resp.StatusCode)
+	if resp, _ := getBody(t, ts.URL+"/v1/schemas/nope"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /v1/schemas/nope: status = %d, want 404", resp.StatusCode)
 	}
 	var sb strings.Builder
 	if err := sv.metReg.WriteText(&sb); err != nil {
@@ -195,7 +181,7 @@ func TestPerSchemaCacheIsolation(t *testing.T) {
 }
 
 // TestReloadNeverServesStaleAnswer is the cache/singleflight regression
-// test for hot reload: after POST /schemas/reload swaps in a changed
+// test for hot reload: after POST /v1/schemas/reload swaps in a changed
 // schema, the same query must return the new answer from a fresh shard
 // — never the (still warm) pre-reload completion.
 func TestReloadNeverServesStaleAnswer(t *testing.T) {
@@ -209,7 +195,7 @@ func TestReloadNeverServesStaleAnswer(t *testing.T) {
 	}
 
 	msWriteDir(t, dir, map[string]string{"main": msSchemaV2})
-	resp, body := post(t, ts.URL+"/schemas/reload", "")
+	resp, body := post(t, ts.URL+"/v1/schemas/reload", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: status=%d body=%s", resp.StatusCode, body)
 	}
@@ -240,7 +226,7 @@ func TestReloadWithoutDir409(t *testing.T) {
 	sv := New(uni.New(), nil, core.Exact())
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
-	resp, body := post(t, ts.URL+"/schemas/reload", "")
+	resp, body := post(t, ts.URL+"/v1/schemas/reload", "")
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("status = %d, want 409 (%s)", resp.StatusCode, body)
 	}
@@ -248,7 +234,7 @@ func TestReloadWithoutDir409(t *testing.T) {
 
 // TestHTTPReloadRace is the serving-layer half of the hot-reload drill
 // (the registry-level half lives in internal/registry): concurrent
-// clients hammer /complete and /schemas through 100 reload generations
+// clients hammer /v1/complete and /v1/schemas through 100 reload generations
 // that alternate the schema's shape. Every response must be a 200 with
 // one of the two possible answers; afterwards the registry must have
 // drained every superseded snapshot (Live == served names — the leak
@@ -273,14 +259,14 @@ func TestHTTPReloadRace(t *testing.T) {
 			for !stop.Load() {
 				if id == 0 {
 					// One client watches the listing while the others search.
-					resp, err := http.Get(ts.URL + "/schemas")
+					resp, err := http.Get(ts.URL + "/v1/schemas")
 					if err != nil {
-						errs <- fmt.Errorf("GET /schemas: %w", err)
+						errs <- fmt.Errorf("GET /v1/schemas: %w", err)
 						return
 					}
 					resp.Body.Close()
 					if resp.StatusCode != http.StatusOK {
-						errs <- fmt.Errorf("GET /schemas: status %d", resp.StatusCode)
+						errs <- fmt.Errorf("GET /v1/schemas: status %d", resp.StatusCode)
 						return
 					}
 					requests.Add(1)
@@ -313,7 +299,7 @@ func TestHTTPReloadRace(t *testing.T) {
 		// Alternate the two reload entry points: the HTTP handler and
 		// the programmatic one the SIGHUP path uses.
 		if i%2 == 0 {
-			resp, body := post(t, ts.URL+"/schemas/reload", "")
+			resp, body := post(t, ts.URL+"/v1/schemas/reload", "")
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("reload %d: status=%d body=%s", i, resp.StatusCode, body)
 			}

@@ -49,9 +49,9 @@ func metricValue(text, sample string) float64 {
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t, false)
 	// One miss, one hit, one parse failure.
-	post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
-	post(t, ts.URL+"/complete", `{"expr":"ta ~ name"}`)
-	post(t, ts.URL+"/complete", `{"expr":"ta..name"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta ~ name"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta..name"}`)
 
 	resp, text := getBody(t, ts.URL+"/metrics")
 	if resp.StatusCode != http.StatusOK {
@@ -96,10 +96,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v := metricValue(text, "pathcomplete_cache_entries"); v != 1 {
 		t.Errorf("cache entries = %g, want 1", v)
 	}
-	if v := metricValue(text, `http_requests_total{path="/complete",method="POST",code="200"}`); v != 2 {
+	if v := metricValue(text, `http_requests_total{path="/v1/complete",method="POST",code="200"}`); v != 2 {
 		t.Errorf("complete 200s = %g, want 2", v)
 	}
-	if v := metricValue(text, `http_requests_total{path="/complete",method="POST",code="400"}`); v != 1 {
+	if v := metricValue(text, `http_requests_total{path="/v1/complete",method="POST",code="400"}`); v != 1 {
 		t.Errorf("complete 400s = %g, want 1", v)
 	}
 	// The scrape observes itself mid-flight: exactly one request (the
@@ -124,16 +124,14 @@ func TestExhaustedCountsMaxCallsStops(t *testing.T) {
 func TestCompleteTrace(t *testing.T) {
 	ts := testServer(t, false)
 	// Warm the cache so we can prove tracing bypasses it.
-	post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name","trace":true}`)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name","trace":true}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
 	var out CompleteResponse
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body, &out)
 	if out.Cached {
 		t.Error("traced request must not be served from cache")
 	}
@@ -161,17 +159,15 @@ func TestCompleteTrace(t *testing.T) {
 	}
 
 	// traceLimit caps the log and reports the overflow.
-	_, body2 := post(t, ts.URL+"/complete", `{"expr":"ta~name","trace":true,"traceLimit":3}`)
+	_, body2 := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name","trace":true,"traceLimit":3}`)
 	var out2 CompleteResponse
-	if err := json.Unmarshal([]byte(body2), &out2); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body2, &out2)
 	if len(out2.Trace) != 3 || out2.TraceDropped == 0 {
 		t.Errorf("limited trace = %d events, dropped = %d", len(out2.Trace), out2.TraceDropped)
 	}
 
 	// An untraced request has no trace payload.
-	_, body3 := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	_, body3 := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if strings.Contains(body3, `"trace"`) {
 		t.Errorf("untraced response carries a trace: %s", body3)
 	}
@@ -225,7 +221,7 @@ func TestCacheEviction(t *testing.T) {
 
 	exprs := []string{"ta~name", "ta~course", "student~department"}
 	for _, e := range exprs {
-		resp, body := post(t, ts.URL+"/complete", `{"expr":"`+e+`"}`)
+		resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"`+e+`"}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("%s: status = %d: %s", e, resp.StatusCode, body)
 		}
@@ -244,7 +240,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Errorf("cache entries gauge = %g, want 2", v)
 	}
 	// The evicted entry (the oldest) recomputes: miss count rises.
-	post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	_, text = getBody(t, ts.URL+"/metrics")
 	if v := metricValue(text, "pathcomplete_cache_misses_total"); v != 4 {
 		t.Errorf("misses = %g, want 4 (evicted entry recomputed)", v)
@@ -252,7 +248,7 @@ func TestCacheEviction(t *testing.T) {
 }
 
 func TestLRURecency(t *testing.T) {
-	c := newShardedCache(2, 0)
+	c := newShardedCache(2)
 	r := &core.Result{}
 	sh := shardID{schema: "uni", gen: 1}
 	key := func(expr string) cacheKey { return cacheKey{shard: sh, expr: expr, e: 1} }
@@ -328,7 +324,7 @@ func TestConcurrentCompleteAndScrape(t *testing.T) {
 					body += `,"trace":true`
 				}
 				body += `}`
-				resp, err := http.Post(ts.URL+"/complete", "application/json", strings.NewReader(body))
+				resp, err := http.Post(ts.URL+"/v1/complete", "application/json", strings.NewReader(body))
 				if err != nil {
 					t.Error(err)
 					return

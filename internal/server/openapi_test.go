@@ -63,11 +63,34 @@ func TestOpenAPIPathsMatchV1Paths(t *testing.T) {
 
 // TestV1PathsAreServed: every declared v1 route is actually mounted —
 // requesting it (with {name} bound to a served schema) never hits the
-// mux's 404 fallthrough.
+// mux's 404 fallthrough — and the retired pre-/v1 routes are not: each
+// of them gets the mux's 404 like any other unknown path.
 func TestV1PathsAreServed(t *testing.T) {
 	sv := New(uni.New(), nil, core.Paper())
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
+
+	do := func(method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	// Handlers may legitimately reject the empty body with 400/409, or
+	// answer 404 unknown_schema for an unserved name — but that carries
+	// a JSON envelope, not net/http's text fallthrough.
+	muxNotFound := func(resp *http.Response) bool {
+		return resp.StatusCode == http.StatusNotFound &&
+			!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json")
+	}
 
 	schemaName := sv.SchemaRegistry().DefaultName()
 	for _, p := range V1Paths {
@@ -77,25 +100,25 @@ func TestV1PathsAreServed(t *testing.T) {
 		case "/v1/complete", "/v1/completeBatch", "/v1/evaluate", "/v1/schemas/reload":
 			method = http.MethodPost
 		}
-		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		resp.Body.Close()
-		// Anything but the mux's own 404/405 means the route is mounted
-		// (handlers may legitimately reject the empty body with 400/409,
-		// or answer 404 unknown_schema for an unserved name — but that
-		// carries a JSON body, not net/http's text fallthrough).
-		if resp.StatusCode == http.StatusNotFound && !strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json") {
+		resp := do(method, path)
+		if muxNotFound(resp) {
 			t.Errorf("%s %s: mux 404 — declared in V1Paths but not mounted", method, p)
 		}
 		if resp.StatusCode == http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: 405 — mounted under a different method than the spec documents", method, p)
+		}
+	}
+
+	for _, rt := range []struct{ method, path string }{
+		{http.MethodPost, "/complete"},
+		{http.MethodPost, "/completeBatch"},
+		{http.MethodPost, "/evaluate"},
+		{http.MethodGet, "/schemas"},
+		{http.MethodPost, "/schemas/reload"},
+		{http.MethodGet, "/schema"},
+	} {
+		if resp := do(rt.method, rt.path); !muxNotFound(resp) {
+			t.Errorf("%s %s: status %d, want the mux's 404 for a retired route", rt.method, rt.path, resp.StatusCode)
 		}
 	}
 }

@@ -151,7 +151,7 @@ func TestHealthUngatedUnderSaturation(t *testing.T) {
 	}
 	defer sv.gate.release()
 
-	if resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`); resp.StatusCode != http.StatusTooManyRequests {
+	if resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("gate not saturated: complete = %d %s", resp.StatusCode, body)
 	}
 	if resp, _ := getBody(t, ts.URL+"/healthz"); resp.StatusCode != http.StatusOK {

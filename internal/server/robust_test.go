@@ -8,7 +8,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -89,19 +88,14 @@ func TestValidationRejects(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, body := post(t, ts.URL+"/complete", tc.body)
+			resp, body := post(t, ts.URL+"/v1/complete", tc.body)
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %s)", resp.StatusCode, tc.wantStatus, body)
 			}
-			// Every answer on the hardened path is valid JSON.
-			var m map[string]any
-			if err := json.Unmarshal([]byte(body), &m); err != nil {
-				t.Fatalf("body is not JSON: %v\n%s", err, body)
-			}
-			if tc.wantStatus != http.StatusOK {
-				if msg, _ := m["error"].(string); msg == "" {
-					t.Errorf("error body missing \"error\": %s", body)
-				}
+			// Every answer on the hardened path is a JSON envelope.
+			env := decodeEnvelope(t, body)
+			if tc.wantStatus != http.StatusOK && (env.Error == nil || env.Error.Message == "") {
+				t.Errorf("error envelope missing its message: %s", body)
 			}
 		})
 	}
@@ -114,22 +108,15 @@ func TestAdmissionShed429(t *testing.T) {
 	if sv.gate.acquire(context.Background()) != admitOK {
 		t.Fatal("could not occupy the only admission slot")
 	}
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (body %s)", resp.StatusCode, body)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Errorf("Retry-After = %q, want \"1\"", got)
 	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("429 body is not JSON: %v\n%s", err, body)
-	}
-	if msg, _ := m["error"].(string); !strings.Contains(msg, "overloaded") {
+	if env := decodeEnvelope(t, body); env.Error == nil || !strings.Contains(env.Error.Message, "overloaded") {
 		t.Errorf("429 body = %s", body)
-	}
-	if m["retryAfterSeconds"].(float64) != 1 {
-		t.Errorf("retryAfterSeconds = %v", m["retryAfterSeconds"])
 	}
 	if got := sv.met.sheds.Value(); got != 1 {
 		t.Errorf("sheds = %d, want 1", got)
@@ -137,7 +124,7 @@ func TestAdmissionShed429(t *testing.T) {
 
 	// Releasing the slot restores service.
 	sv.gate.release()
-	resp, body = post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	resp, body = post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after release: status = %d (body %s)", resp.StatusCode, body)
 	}
@@ -153,14 +140,11 @@ func TestAdmissionQueueTimeout503(t *testing.T) {
 		t.Fatal("could not occupy the only admission slot")
 	}
 	defer sv.gate.release()
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name","timeoutMs":20}`)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name","timeoutMs":20}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status = %d, want 503 (body %s)", resp.StatusCode, body)
 	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("503 body is not JSON: %v\n%s", err, body)
-	}
+	decodeEnvelope(t, body)
 	if got := sv.met.timeouts.Value(); got != 1 {
 		t.Errorf("timeouts = %d, want 1", got)
 	}
@@ -171,14 +155,12 @@ func TestAdmissionQueueTimeout503(t *testing.T) {
 // best-so-far completions and a non-empty stop reason — never a 5xx.
 func TestTimeoutDegradesToPartial(t *testing.T) {
 	sv, ts := newTestSrv(t, slowSchema(t, 4, 8))
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"l0w0~label","timeoutMs":50}`)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"l0w0~label","timeoutMs":50}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200 (body %s)", resp.StatusCode, body)
 	}
 	var out CompleteResponse
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("decode: %v\n%s", err, body)
-	}
+	decodeData(t, body, &out)
 	if !out.Aborted || out.StopReason != string(core.StopDeadline) {
 		t.Fatalf("aborted=%v stopReason=%q, want an aborted deadline stop", out.Aborted, out.StopReason)
 	}
@@ -198,11 +180,9 @@ func TestTimeoutDegradesToPartial(t *testing.T) {
 	if n := sv.cache.len(); n != 0 {
 		t.Errorf("aborted result was cached (%d entries)", n)
 	}
-	resp2, body2 := post(t, ts.URL+"/complete", `{"expr":"l0w0~label","timeoutMs":60}`)
+	_, body2 := post(t, ts.URL+"/v1/complete", `{"expr":"l0w0~label","timeoutMs":60}`)
 	var out2 CompleteResponse
-	if err := json.Unmarshal([]byte(body2), &out2); err != nil {
-		t.Fatalf("decode rerun: %v (status %d)", err, resp2.StatusCode)
-	}
+	decodeData(t, body2, &out2)
 	if out2.Cached {
 		t.Error("rerun was served from cache after an aborted search")
 	}
@@ -212,14 +192,11 @@ func TestBodyTooLarge413(t *testing.T) {
 	sv, ts := newTestSrv(t, uni.New())
 	sv.SetLimits(Limits{MaxBodyBytes: 128})
 	big := `{"expr":"` + strings.Repeat("x", 1024) + `"}`
-	resp, body := post(t, ts.URL+"/complete", big)
+	resp, body := post(t, ts.URL+"/v1/complete", big)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413 (body %s)", resp.StatusCode, body)
 	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("413 body is not JSON: %v\n%s", err, body)
-	}
+	decodeEnvelope(t, body)
 }
 
 func TestPanicRecovery(t *testing.T) {
@@ -234,15 +211,11 @@ func TestPanicRecovery(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500 (body %s)", resp.StatusCode, body)
 	}
-	var m map[string]any
-	if err := json.Unmarshal([]byte(body), &m); err != nil {
-		t.Fatalf("500 body is not JSON: %v\n%s", err, body)
-	}
-	if m["error"] != "internal error" {
+	if env := decodeEnvelope(t, body); env.Error == nil || env.Error.Message != "internal error" {
 		t.Errorf("500 body = %s", body)
 	}
 	if got := sv.met.panicsRecovered.Value(); got != 1 {
@@ -255,7 +228,7 @@ func TestPanicRecovery(t *testing.T) {
 
 	// The process keeps serving: disarm and the same request succeeds.
 	faultinject.Disarm()
-	resp, body = post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	resp, body = post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("after disarm: status = %d (body %s)", resp.StatusCode, body)
 	}
@@ -384,21 +357,30 @@ func TestSingleflightPanicSettles(t *testing.T) {
 }
 
 // TestSingleflightOverHTTP drives the collapse end to end: concurrent
-// identical cold requests against a slow search share one result.
+// identical cold requests against a slow search share one result. The
+// search is sized to take well under a second, even under -race, so
+// every request finishes far inside the default request deadline
+// (DefaultMaxTimeout); a follower whose own deadline passes first gets
+// a 503, which TestSingleflightGroup pins deterministically.
 func TestSingleflightOverHTTP(t *testing.T) {
-	sv, ts := newTestSrv(t, slowSchema(t, 4, 8))
+	sv, ts := newTestSrv(t, slowSchema(t, 4, 7))
 	const followers = 3
 	body := `{"expr":"l0w0~label"}`
 
 	var wg sync.WaitGroup
-	results := make([]CompleteResponse, followers+1)
-	errs := make([]error, followers+1)
-	wg.Add(1)
-	go func() { // leader
+	statuses := make([]int, followers+1)
+	bodies := make([]string, followers+1)
+	send := func(i int) {
 		defer wg.Done()
-		_, b := post(t, ts.URL+"/complete", body)
-		errs[0] = json.Unmarshal([]byte(b), &results[0])
-	}()
+		resp, err := http.Post(ts.URL+"/v1/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+			return
+		}
+		statuses[i], bodies[i] = resp.StatusCode, readAll(t, resp)
+	}
+	wg.Add(1)
+	go send(0) // leader
 	// Launch the followers only once the leader's flight is registered
 	// (a blind sleep races a fast machine: the search must merely
 	// outlive the followers' local round trips, not the sleep).
@@ -416,16 +398,16 @@ func TestSingleflightOverHTTP(t *testing.T) {
 	}
 	for i := 1; i <= followers; i++ {
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, b := post(t, ts.URL+"/complete", body)
-			errs[i] = json.Unmarshal([]byte(b), &results[i])
-		}(i)
+		go send(i)
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
+	results := make([]CompleteResponse, followers+1)
+	for i, b := range bodies {
+		if statuses[i] != http.StatusOK {
+			t.Fatalf("request %d: status = %d, want 200: %s", i, statuses[i], b)
+		}
+		if env := decodeData(t, b, &results[i]); env.Error != nil {
+			t.Fatalf("request %d: error = %+v, want null", i, env.Error)
 		}
 	}
 	if got := sv.met.singleflightShared.Value(); got == 0 {
@@ -452,27 +434,27 @@ func TestCacheMissAccounting(t *testing.T) {
 
 	// A traced request runs a fresh search without a cache lookup: it
 	// counts neither a hit nor a miss (it does store its result).
-	post(t, ts.URL+"/complete", `{"expr":"ta~name","trace":true}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~name","trace":true}`)
 	if h, m := read(); h != 0 || m != 0 {
 		t.Fatalf("after traced request: hits=%d misses=%d, want 0/0", h, m)
 	}
 	// An untraced request for what the traced search stored is a hit.
-	post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
 	if h, m := read(); h != 1 || m != 0 {
 		t.Fatalf("after request warmed by trace: hits=%d misses=%d, want 1/0", h, m)
 	}
 	// A genuinely cold untraced request is a miss...
-	post(t, ts.URL+"/complete", `{"expr":"ta~credits"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~credits"}`)
 	if h, m := read(); h != 1 || m != 1 {
 		t.Fatalf("after cold request: hits=%d misses=%d, want 1/1", h, m)
 	}
 	// ...and its rerun a hit.
-	post(t, ts.URL+"/complete", `{"expr":"ta~credits"}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~credits"}`)
 	if h, m := read(); h != 2 || m != 1 {
 		t.Fatalf("after warm request: hits=%d misses=%d, want 2/1", h, m)
 	}
 	// Another traced request still counts neither.
-	post(t, ts.URL+"/complete", `{"expr":"ta~credits","trace":true}`)
+	post(t, ts.URL+"/v1/complete", `{"expr":"ta~credits","trace":true}`)
 	if h, m := read(); h != 2 || m != 1 {
 		t.Fatalf("after second traced request: hits=%d misses=%d, want 2/1", h, m)
 	}
@@ -509,7 +491,7 @@ func TestInflightGauge(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		post(t, ts.URL+"/complete", `{"expr":"l0w0~label","timeoutMs":200}`)
+		post(t, ts.URL+"/v1/complete", `{"expr":"l0w0~label","timeoutMs":200}`)
 	}()
 	// Sample while the bounded search is in flight.
 	deadline := time.Now().Add(2 * time.Second)

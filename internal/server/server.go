@@ -5,34 +5,42 @@
 // one immutable schema snapshot for its whole lifetime, and supports
 // hot reload with atomic swap. Endpoints:
 //
-//	GET  /healthz            liveness (JSON: status, schemas, uptime)
-//	GET  /readyz             readiness: 200 once the default schema is
-//	                         installed and recovery has finished, 503
-//	                         while starting or draining (see persist.go);
-//	                         like /healthz, never gated by admission
-//	GET  /schemas            the served schemas (JSON: name, generation,
-//	                         shape, which is the default)
-//	POST /schemas/reload     reparse the SDL directory and swap
-//	                         atomically (in-flight searches finish on
-//	                         their old snapshot)
-//	GET  /schema?schema=S    schema S in SDL text form (default schema
-//	                         when the parameter is absent; same for all
-//	                         endpoints below)
-//	GET  /stats              schema shape statistics (JSON)
-//	GET  /metrics            Prometheus text exposition (search effort,
-//	                         latency histograms, cache, HTTP, per-schema
-//	                         labeled families with bounded cardinality)
-//	GET  /buildinfo          build and runtime introspection (JSON)
-//	POST /complete           {"expr": "ta~name", "e": 2} →
-//	                         candidate completions with labels and stats;
-//	                         add "trace": true for the traversal event log
-//	POST /completeBatch      {"queries": [{"expr": ...}, ...]} →
-//	                         positional results for a whole batch under
-//	                         one admission slot and one schema snapshot
-//	POST /evaluate           {"expr": "ta~name", "approve": [0]} →
-//	                         the evaluation of the approved completions
-//	                         (requires an object store on the snapshot)
+//	GET  /healthz             liveness (JSON: status, schemas, uptime)
+//	GET  /readyz              readiness: 200 once the default schema is
+//	                          installed and recovery has finished, 503
+//	                          while starting or draining (see persist.go);
+//	                          like /healthz, never gated by admission
+//	GET  /stats?schema=S      shape statistics of schema S (JSON; the
+//	                          default schema when the parameter is
+//	                          absent, as on every endpoint below)
+//	GET  /metrics             Prometheus text exposition (search effort,
+//	                          latency histograms, cache, HTTP, per-schema
+//	                          labeled families with bounded cardinality)
+//	GET  /buildinfo           build and runtime introspection (JSON)
+//	POST /v1/complete         {"expr": "ta~name", "e": 2} →
+//	                          candidate completions with labels and stats;
+//	                          add "trace": true for the traversal event log
+//	POST /v1/completeBatch    {"queries": [{"expr": ...}, ...]} →
+//	                          positional results for a whole batch under
+//	                          one admission slot and one schema snapshot
+//	POST /v1/evaluate         {"expr": "ta~name", "approve": [0]} →
+//	                          the evaluation of the approved completions
+//	                          (requires an object store on the snapshot)
+//	GET  /v1/explain          the derivation of every completion of
+//	                          ?expr= (POST takes the /v1/complete body)
+//	GET  /v1/schemas          the served schemas (name, generation,
+//	                          shape, which is the default)
+//	GET  /v1/schemas/{name}   one schema: listing entry, closure and
+//	                          persist status, SDL text
+//	POST /v1/schemas/reload   reparse the SDL directory and swap
+//	                          atomically (in-flight searches finish on
+//	                          their old snapshot)
+//	GET  /v1/traces           retained request traces; /v1/traces/{id}
+//	                          is one of them as a span tree
+//	GET  /v1/queries/slow     the slow-query log
+//	GET  /v1/sessions         WebSocket keystroke sessions
 //
+// Every /v1 route answers, success or error, with the envelope of v1.go.
 // net/http/pprof can additionally be mounted under /debug/pprof/ via
 // HandlerConfig.PProf.
 //
@@ -71,22 +79,16 @@ import (
 	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/registry"
 	"pathcomplete/internal/schema"
-	"pathcomplete/internal/sdl"
 
 	"log/slog"
 )
 
 // Routes lists every route the server can mount, in the form the
-// obs middleware uses to normalize metric labels ("/v1/schemas/"
-// covers the per-name wildcard paths by prefix).
-var Routes = []string{
-	"/healthz", "/readyz", "/schema", "/schemas", "/schemas/reload", "/stats",
-	"/metrics", "/buildinfo", "/complete", "/completeBatch", "/evaluate",
-	"/v1/complete", "/v1/completeBatch", "/v1/evaluate", "/v1/explain",
-	"/v1/schemas", "/v1/schemas/{name}", "/v1/schemas/reload",
-	"/v1/traces", "/v1/traces/{id}", "/v1/queries/slow", "/v1/sessions",
-	"/debug/pprof/",
-}
+// obs middleware uses to normalize metric labels: the operational
+// routes, the pprof prefix, and V1Paths.
+var Routes = append([]string{
+	"/healthz", "/readyz", "/stats", "/metrics", "/buildinfo", "/debug/pprof/",
+}, V1Paths...)
 
 // Server serves every schema of one registry. It is safe for
 // concurrent use.
@@ -109,15 +111,6 @@ type Server struct {
 	// on, while /healthz (liveness) keeps answering 200.
 	draining atomic.Bool
 
-	// depWarned tracks which deprecated routes already logged their
-	// one-time warning.
-	depWarned sync.Map
-
-	// legacyRoutes selects how the pre-/v1 surface is served: LegacyOn,
-	// LegacyWarn (the default when empty), or LegacyOff (410 Gone). Set
-	// via SetLegacyRoutes before serving.
-	legacyRoutes string
-
 	// sessions counts open interactive sessions against
 	// Limits.MaxSessions.
 	sessions atomic.Int64
@@ -138,8 +131,8 @@ func New(s *schema.Schema, store *objstore.Store, opts core.Options) *Server {
 // serves (including ones that appear in later reloads). The server
 // carries its own metrics registry (see Registry), a sharded memo
 // cache bounded by DefaultCacheCap entries and DefaultCacheBudget
-// bytes (see SetCacheCap, SetCacheBudget), and the default
-// request-path limits (see SetLimits).
+// bytes (see SetCacheCap), and the default request-path limits (see
+// SetLimits).
 func NewFromRegistry(reg *registry.Registry) *Server {
 	metReg := obs.NewRegistry()
 	lim := DefaultLimits()
@@ -153,7 +146,7 @@ func NewFromRegistry(reg *registry.Registry) *Server {
 		lim:     lim,
 		gate:    newGate(lim.MaxConcurrent, lim.MaxQueue),
 		flights: newFlightGroup(),
-		cache:   newShardedCache(DefaultCacheCap, DefaultCacheBudget),
+		cache:   newShardedCache(DefaultCacheCap),
 		// The default pipeline head-samples nothing and has no slow
 		// threshold, so only a client that forces sampling (traceparent
 		// with the sampled flag) pays for span recording; SetTracing
@@ -198,26 +191,7 @@ func (sv *Server) Registry() *obs.Registry { return sv.metReg }
 func (sv *Server) SetCacheCap(n int) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	budget := int64(DefaultCacheBudget)
-	if sv.cache != nil {
-		budget = sv.cache.budget
-	}
-	sv.cache = newShardedCache(n, budget)
-	sv.met.cacheSize.Set(0)
-	sv.met.cacheBytes.Set(0)
-}
-
-// SetCacheBudget rebounds the cache's global byte budget across all
-// schema shards (n <= 0 restores DefaultCacheBudget), dropping the
-// current contents. Call it before serving traffic.
-func (sv *Server) SetCacheBudget(n int64) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	cap := DefaultCacheCap
-	if sv.cache != nil {
-		cap = sv.cache.maxEntries
-	}
-	sv.cache = newShardedCache(cap, n)
+	sv.cache = newShardedCache(n)
 	sv.met.cacheSize.Set(0)
 	sv.met.cacheBytes.Set(0)
 }
@@ -226,7 +200,7 @@ func (sv *Server) SetCacheBudget(n int64) {
 // swap; see registry.Registry.Reload), then drops the cache shards of
 // every superseded snapshot and refreshes the per-schema gauges. It is
 // the one reload entry point the serving layer exposes — the HTTP
-// /schemas/reload handler and the SIGHUP handler both route here.
+// /v1/schemas/reload handler and the SIGHUP handler both route here.
 func (sv *Server) ReloadSchemas() error {
 	if err := sv.reg.Reload(); err != nil {
 		sv.met.reloadFailures.Inc()
@@ -288,18 +262,9 @@ func (sv *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", sv.handleHealthz)
 	mux.HandleFunc("GET /readyz", sv.handleReadyz)
-	mux.HandleFunc("GET /schema", sv.handleSchema)
-	mux.HandleFunc("GET /schemas", sv.handleSchemas)
-	mux.HandleFunc("POST /schemas/reload", sv.handleReload)
 	mux.HandleFunc("GET /stats", sv.handleStats)
 	mux.HandleFunc("GET /buildinfo", sv.handleBuildInfo)
 	mux.Handle("GET /metrics", sv.metReg.Handler())
-	mux.HandleFunc("POST /complete", sv.handleComplete)
-	mux.HandleFunc("POST /completeBatch", sv.handleCompleteBatch)
-	mux.HandleFunc("POST /evaluate", sv.handleEvaluate)
-	// The versioned surface mounts the same handlers; the response
-	// layer renders the v1 envelope when the path carries the /v1/
-	// prefix (see v1.go).
 	mux.HandleFunc("POST /v1/complete", sv.handleComplete)
 	mux.HandleFunc("POST /v1/completeBatch", sv.handleCompleteBatch)
 	mux.HandleFunc("POST /v1/evaluate", sv.handleEvaluate)
@@ -321,11 +286,10 @@ func (sv *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	}
 	// Chain, outermost first: metrics/logging (so a recovered panic is
 	// still counted and logged with its request ID), request start
-	// stamp (so v1 envelopes report durationMs even from the panic
-	// responder), panic recovery, body size cap, deprecation stamping,
-	// routing.
+	// stamp (so envelopes report durationMs even from the panic
+	// responder), panic recovery, body size cap, routing.
 	return sv.httpM.Wrap(cfg.Logger, Routes,
-		withStart(sv.recoverPanics(sv.limitBodies(sv.deprecate(mux)))))
+		withStart(sv.recoverPanics(sv.limitBodies(mux))))
 }
 
 // limitBodies caps every request body with http.MaxBytesReader, so a
@@ -400,7 +364,7 @@ func (sv *Server) recoverPanics(next http.Handler) http.Handler {
 				)
 			}
 			if !rw.wrote {
-				sv.jsonError(rw, r, http.StatusInternalServerError, "internal error")
+				sv.jsonError(rw, r, http.StatusInternalServerError, CodeInternal, "internal error")
 			}
 		}()
 		next.ServeHTTP(rw, r)
@@ -431,7 +395,7 @@ func (sv *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SchemaInfoJSON is one entry of a /schemas listing.
+// SchemaInfoJSON is one entry of a /v1/schemas listing.
 type SchemaInfoJSON struct {
 	Name       string `json:"name"`
 	Generation uint64 `json:"generation"`
@@ -444,7 +408,7 @@ type SchemaInfoJSON struct {
 	Closure string `json:"closure,omitempty"`
 }
 
-// SchemasResponse is the body of a /schemas response.
+// SchemasResponse is the data payload of a /v1/schemas response.
 type SchemasResponse struct {
 	Default    string           `json:"default"`
 	Generation uint64           `json:"generation"`
@@ -478,11 +442,11 @@ func (sv *Server) handleSchemas(w http.ResponseWriter, r *http.Request) {
 
 func (sv *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if err := sv.ReloadSchemas(); err != nil {
-		status := http.StatusInternalServerError
+		status, code := http.StatusInternalServerError, CodeInternal
 		if errors.Is(err, registry.ErrNoDir) {
-			status = http.StatusConflict
+			status, code = http.StatusConflict, CodeBadRequest
 		}
-		sv.jsonError(w, r, status, err.Error())
+		sv.jsonError(w, r, status, code, err.Error())
 		return
 	}
 	names := sv.reg.Names()
@@ -525,24 +489,6 @@ func (sv *Server) handleBuildInfo(w http.ResponseWriter, r *http.Request) {
 	sv.writeJSON(w, r, http.StatusOK, out)
 }
 
-// handleSchema serves the legacy GET /schema endpoint: the SDL text
-// of the default (or ?schema=-named) schema. It is an alias of GET
-// /v1/schemas/{name} — both resolve through resolveSchema, so the two
-// surfaces can never disagree about a name — rendered as text/plain
-// for legacy clients, and counted under the deprecation metric by the
-// deprecate middleware like every other pre-/v1 route.
-func (sv *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if err := sdl.Write(w, sn.Schema()); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
-
 func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sn, ok := sv.acquireSnapshot(w, r)
 	if !ok {
@@ -577,14 +523,14 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	sv.writeJSON(w, r, http.StatusOK, out)
 }
 
-// CompleteRequest is the body of POST /complete and POST /evaluate,
-// and one element of POST /completeBatch.
+// CompleteRequest is the body of POST /v1/complete and POST
+// /v1/evaluate, and one element of POST /v1/completeBatch.
 type CompleteRequest struct {
 	// Expr is the (possibly incomplete) path expression.
 	Expr string `json:"expr"`
 	// E overrides the AGG* parameter (0 keeps the server default).
 	E int `json:"e,omitempty"`
-	// Approve lists, for /evaluate, the indices of the approved
+	// Approve lists, for /v1/evaluate, the indices of the approved
 	// completions; empty approves all.
 	Approve []int `json:"approve,omitempty"`
 	// Trace requests the structured traversal event log for this
@@ -618,7 +564,7 @@ type SearchStatsJSON struct {
 	CautionSaves int `json:"cautionSaves"`
 }
 
-// CompleteResponse is the body of a /complete response.
+// CompleteResponse is the data payload of a /v1/complete response.
 type CompleteResponse struct {
 	Expr string `json:"expr"`
 	// Schema and Generation identify the snapshot that answered: the
@@ -846,19 +792,12 @@ func (sv *Server) admit(w http.ResponseWriter, r *http.Request, ctx context.Cont
 	case admitShed:
 		sv.met.sheds.Inc()
 		w.Header().Set("Retry-After", "1")
-		if isV1(r) {
-			sv.jsonError(w, r, http.StatusTooManyRequests,
-				"server overloaded: admission queue full")
-			return nil, false
-		}
-		sv.writeJSON(w, r, http.StatusTooManyRequests, map[string]any{
-			"error":             "server overloaded: admission queue full",
-			"retryAfterSeconds": 1,
-		})
+		sv.jsonError(w, r, http.StatusTooManyRequests, CodeOverloaded,
+			"server overloaded: admission queue full")
 		return nil, false
 	default: // admitCanceled
 		sv.met.timeouts.Inc()
-		sv.jsonError(w, r, http.StatusServiceUnavailable,
+		sv.jsonError(w, r, http.StatusServiceUnavailable, CodeDeadline,
 			"request ended while waiting for an admission slot")
 		return nil, false
 	}
@@ -908,11 +847,11 @@ func (sv *Server) completeResponse(sn *registry.Snapshot, c completed) CompleteR
 func (sv *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.jsonError(w, r, decodeStatus(err), "bad request: "+err.Error())
+		sv.jsonError(w, r, decodeStatus(err), CodeBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if err := sv.validateComplete(&req); err != nil {
-		sv.jsonError(w, r, http.StatusBadRequest, err.Error())
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	sn, ok := sv.acquireSnapshot(w, r)
@@ -934,19 +873,19 @@ func (sv *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c, status, err := sv.complete(ctx, sn, req)
 	if err != nil {
 		obs.SpanFromContext(r.Context()).SetError(err.Error())
-		sv.jsonError(w, r, status, err.Error())
+		sv.jsonError(w, r, status, errCode(status), err.Error())
 		return
 	}
 	obs.SpanFromContext(r.Context()).SetAttr(obs.AttrEngine, c.engine)
 	sv.respond(w, r, http.StatusOK, sv.completeResponse(sn, c), completeMeta(sn, c))
 }
 
-// BatchRequest is the body of POST /completeBatch: a set of completion
+// BatchRequest is the body of POST /v1/completeBatch: a set of completion
 // queries answered against ONE schema snapshot — every element sees
 // the same generation even if a reload lands mid-batch.
 type BatchRequest struct {
 	// Queries lists the completion queries (each validated like a
-	// /complete body; Approve is ignored). Bounded by Limits.MaxBatch.
+	// /v1/complete body; Approve is ignored). Bounded by Limits.MaxBatch.
 	Queries []CompleteRequest `json:"queries"`
 	// TimeoutMs bounds the whole batch's wall clock (capped by the
 	// server's MaxTimeout); per-query timeoutMs tightens individual
@@ -954,15 +893,15 @@ type BatchRequest struct {
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 }
 
-// BatchItem is one positional result of a /completeBatch response:
+// BatchItem is one positional result of a /v1/completeBatch response:
 // exactly one of Error or the embedded response is meaningful.
 type BatchItem struct {
 	CompleteResponse
 	Error string `json:"error,omitempty"`
 }
 
-// BatchResponse is the body of a /completeBatch response. Results are
-// positional with the request's queries.
+// BatchResponse is the data payload of a /v1/completeBatch response.
+// Results are positional with the request's queries.
 type BatchResponse struct {
 	Schema     string      `json:"schema"`
 	Generation uint64      `json:"generation"`
@@ -972,21 +911,21 @@ type BatchResponse struct {
 func (sv *Server) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.jsonError(w, r, decodeStatus(err), "bad request: "+err.Error())
+		sv.jsonError(w, r, decodeStatus(err), CodeBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if len(req.Queries) == 0 {
-		sv.jsonError(w, r, http.StatusBadRequest, "empty batch: missing queries")
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, "empty batch: missing queries")
 		return
 	}
 	if len(req.Queries) > sv.lim.MaxBatch {
-		sv.jsonError(w, r, http.StatusBadRequest, fmt.Sprintf(
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf(
 			"batch too large: %d queries exceed the %d-query limit",
 			len(req.Queries), sv.lim.MaxBatch))
 		return
 	}
 	if req.TimeoutMs < 0 {
-		sv.jsonError(w, r, http.StatusBadRequest, "timeoutMs must be non-negative")
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, "timeoutMs must be non-negative")
 		return
 	}
 	sn, ok := sv.acquireSnapshot(w, r)
@@ -1047,7 +986,7 @@ func (sv *Server) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 const batchWorkers = 4
 
 // batchOne answers one batch element through the same path as a
-// /complete request (validation, cache, singleflight), converting
+// /v1/complete request (validation, cache, singleflight), converting
 // failures into positional errors rather than failing the batch.
 func (sv *Server) batchOne(ctx context.Context, sn *registry.Snapshot, q CompleteRequest) BatchItem {
 	if err := sv.validateComplete(&q); err != nil {
@@ -1074,7 +1013,7 @@ func (sv *Server) batchOne(ctx context.Context, sn *registry.Snapshot, q Complet
 	return BatchItem{CompleteResponse: sv.completeResponse(sn, c)}
 }
 
-// EvaluateResponse is the body of a /evaluate response.
+// EvaluateResponse is the data payload of a /v1/evaluate response.
 type EvaluateResponse struct {
 	Expr   string   `json:"expr"`
 	Schema string   `json:"schema,omitempty"`
@@ -1086,11 +1025,11 @@ type EvaluateResponse struct {
 func (sv *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req CompleteRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		sv.jsonError(w, r, decodeStatus(err), "bad request: "+err.Error())
+		sv.jsonError(w, r, decodeStatus(err), CodeBadRequest, "bad request: "+err.Error())
 		return
 	}
 	if err := sv.validateComplete(&req); err != nil {
-		sv.jsonError(w, r, http.StatusBadRequest, err.Error())
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	sn, ok := sv.acquireSnapshot(w, r)
@@ -1099,7 +1038,7 @@ func (sv *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer sn.Release()
 	if sn.Store() == nil {
-		sv.jsonError(w, r, http.StatusNotFound, "no object store mounted for schema "+sn.Name())
+		sv.jsonError(w, r, http.StatusNotFound, CodeNotFound, "no object store mounted for schema "+sn.Name())
 		return
 	}
 	ctx := r.Context()
@@ -1114,7 +1053,7 @@ func (sv *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	if err := faultinject.Inject("server.evaluate"); err != nil {
-		sv.jsonError(w, r, http.StatusInternalServerError, err.Error())
+		sv.jsonError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	// The evaluation path runs through the Fox interpreter (the full
@@ -1146,7 +1085,7 @@ func (sv *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	ans, err := in.Query(req.Expr)
 	espan.End()
 	if err != nil {
-		sv.jsonError(w, r, http.StatusUnprocessableEntity, err.Error())
+		sv.jsonError(w, r, http.StatusUnprocessableEntity, CodeBadRequest, err.Error())
 		return
 	}
 	out := EvaluateResponse{Expr: ans.Query.String(), Schema: sn.Name(), Values: ans.Values}
@@ -1218,24 +1157,4 @@ func (sv *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, 
 			)
 		}
 	}
-}
-
-// jsonError writes a machine-readable error body with the given
-// status: the legacy {"error": msg} shape on pre-/v1 routes, the v1
-// envelope ({"data": null, "error": {"code", "message"}, "meta"}) on
-// the versioned surface. Every error the hardened path produces —
-// including 429 sheds and recovered panics — is valid JSON on both.
-func (sv *Server) jsonError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	if isV1(r) {
-		sv.writeJSON(w, r, status, Envelope{
-			Error: &APIError{Code: errCode(status), Message: msg},
-			Meta: &Meta{
-				ApiVersion: APIVersion,
-				TraceID:    obs.SpanFromContext(r.Context()).TraceID(),
-				DurationMs: float64(sinceStart(r)) / float64(time.Millisecond),
-			},
-		})
-		return
-	}
-	sv.writeJSON(w, r, status, map[string]any{"error": msg})
 }

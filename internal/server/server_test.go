@@ -57,21 +57,6 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-func TestSchemaEndpoint(t *testing.T) {
-	ts := testServer(t, false)
-	resp, err := http.Get(ts.URL + "/schema")
-	if err != nil {
-		t.Fatalf("GET: %v", err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 1<<16)
-	n, _ := resp.Body.Read(buf)
-	body := string(buf[:n])
-	if !strings.Contains(body, "schema university") || !strings.Contains(body, "isa student person") {
-		t.Errorf("schema body:\n%s", body)
-	}
-}
-
 func TestStatsEndpoint(t *testing.T) {
 	ts := testServer(t, false)
 	resp, err := http.Get(ts.URL + "/stats")
@@ -88,49 +73,13 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
-func TestCompleteEndpoint(t *testing.T) {
-	ts := testServer(t, false)
-	resp, body := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d: %s", resp.StatusCode, body)
-	}
-	var out CompleteResponse
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	want := []CompletionJSON{
-		{Path: "ta@>grad@>student@>person.name", Conn: ".", SemLen: 1},
-		{Path: "ta@>instructor@>teacher@>employee@>person.name", Conn: ".", SemLen: 1},
-	}
-	if !reflect.DeepEqual(out.Completions, want) {
-		t.Errorf("completions = %+v", out.Completions)
-	}
-	if out.Calls <= 0 {
-		t.Errorf("calls = %d", out.Calls)
-	}
-	// The second identical request is served from cache and must give
-	// the same answer.
-	_, body2 := post(t, ts.URL+"/complete", `{"expr":"ta ~ name"}`)
-	var out2 CompleteResponse
-	if err := json.Unmarshal([]byte(body2), &out2); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(out2.Completions, out.Completions) {
-		t.Errorf("cached answer differs: %+v", out2.Completions)
-	}
-}
-
 func TestCompleteEndpointE(t *testing.T) {
 	ts := testServer(t, false)
-	_, body1 := post(t, ts.URL+"/complete", `{"expr":"ta~course"}`)
-	_, body2 := post(t, ts.URL+"/complete", `{"expr":"ta~course","e":2}`)
+	_, body1 := post(t, ts.URL+"/v1/complete", `{"expr":"ta~course"}`)
+	_, body2 := post(t, ts.URL+"/v1/complete", `{"expr":"ta~course","e":2}`)
 	var r1, r2 CompleteResponse
-	if err := json.Unmarshal([]byte(body1), &r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal([]byte(body2), &r2); err != nil {
-		t.Fatal(err)
-	}
+	decodeData(t, body1, &r1)
+	decodeData(t, body2, &r2)
 	if len(r2.Completions) <= len(r1.Completions) {
 		t.Errorf("E=2 should widen: %d vs %d", len(r2.Completions), len(r1.Completions))
 	}
@@ -147,41 +96,37 @@ func TestCompleteErrors(t *testing.T) {
 		{`{"expr":"nosuch~name"}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
-		resp, _ := post(t, ts.URL+"/complete", tc.body)
+		resp, _ := post(t, ts.URL+"/v1/complete", tc.body)
 		if resp.StatusCode != tc.want {
 			t.Errorf("body %q: status = %d, want %d", tc.body, resp.StatusCode, tc.want)
 		}
 	}
 	// Wrong method.
-	resp, err := http.Get(ts.URL + "/complete")
+	resp, err := http.Get(ts.URL + "/v1/complete")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /complete status = %d", resp.StatusCode)
+		t.Errorf("GET /v1/complete status = %d", resp.StatusCode)
 	}
 }
 
 func TestEvaluateEndpoint(t *testing.T) {
 	ts := testServer(t, true)
-	resp, body := post(t, ts.URL+"/evaluate", `{"expr":"ta~name","approve":[0]}`)
+	resp, body := post(t, ts.URL+"/v1/evaluate", `{"expr":"ta~name","approve":[0]}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
 	var out EvaluateResponse
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body, &out)
 	if len(out.Chosen) != 1 || !reflect.DeepEqual(out.Values, []any{"Yezdi"}) {
 		t.Errorf("evaluate = %+v", out)
 	}
 	// Empty approve approves everything.
-	_, body2 := post(t, ts.URL+"/evaluate", `{"expr":"department~course"}`)
+	_, body2 := post(t, ts.URL+"/v1/evaluate", `{"expr":"department~course"}`)
 	var out2 EvaluateResponse
-	if err := json.Unmarshal([]byte(body2), &out2); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body2, &out2)
 	if len(out2.Chosen) != 2 || len(out2.Values) != 3 {
 		t.Errorf("evaluate all = %+v", out2)
 	}
@@ -189,14 +134,12 @@ func TestEvaluateEndpoint(t *testing.T) {
 
 func TestEvaluateWithWhere(t *testing.T) {
 	ts := testServer(t, true)
-	resp, body := post(t, ts.URL+"/evaluate", `{"expr":"department~course where credits > 3"}`)
+	resp, body := post(t, ts.URL+"/v1/evaluate", `{"expr":"department~course where credits > 3"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, body)
 	}
 	var out EvaluateResponse
-	if err := json.Unmarshal([]byte(body), &out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body, &out)
 	if out.Where != "credits > 3" {
 		t.Errorf("where = %q", out.Where)
 	}
@@ -205,20 +148,23 @@ func TestEvaluateWithWhere(t *testing.T) {
 	}
 	// A predicate that filters everything yields an empty (non-null)
 	// values array.
-	_, body2 := post(t, ts.URL+"/evaluate", `{"expr":"ta~name where self = \"Nobody\""}`)
+	_, body2 := post(t, ts.URL+"/v1/evaluate", `{"expr":"ta~name where self = \"Nobody\""}`)
 	var out2 EvaluateResponse
-	if err := json.Unmarshal([]byte(body2), &out2); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
+	decodeData(t, body2, &out2)
 	if out2.Values == nil || len(out2.Values) != 0 {
 		t.Errorf("values = %#v", out2.Values)
 	}
 }
 
+// TestEvaluateWithoutStore: a served schema without an object store
+// answers 404 not_found — the schema itself is known.
 func TestEvaluateWithoutStore(t *testing.T) {
 	ts := testServer(t, false)
-	resp, _ := post(t, ts.URL+"/evaluate", `{"expr":"ta~name"}`)
+	resp, body := post(t, ts.URL+"/v1/evaluate", `{"expr":"ta~name"}`)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status = %d, want 404", resp.StatusCode)
+	}
+	if env := decodeEnvelope(t, body); env.Error == nil || env.Error.Code != CodeNotFound {
+		t.Errorf("error = %+v, want code %q", env.Error, CodeNotFound)
 	}
 }

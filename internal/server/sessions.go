@@ -26,7 +26,7 @@ import (
 // is refused with 429 before any handshake bytes are written.
 func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if !ws.IsUpgradeRequest(r) {
-		sv.jsonError(w, r, http.StatusBadRequest,
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest,
 			"/v1/sessions speaks WebSocket: reconnect with an upgrade handshake")
 		return
 	}
@@ -47,7 +47,7 @@ func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		if n >= int64(sv.lim.MaxSessions) {
 			sv.met.sessionsRejected.Inc()
 			w.Header().Set("Retry-After", "1")
-			sv.jsonError(w, r, http.StatusTooManyRequests, fmt.Sprintf(
+			sv.jsonError(w, r, http.StatusTooManyRequests, CodeOverloaded, fmt.Sprintf(
 				"session limit reached: %d sessions open", n))
 			return
 		}
@@ -64,7 +64,7 @@ func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	schemaName := r.URL.Query().Get("schema")
 	conn, err := ws.Upgrade(w, r)
 	if err != nil {
-		sv.jsonError(w, r, http.StatusBadRequest, err.Error())
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	sv.met.sessionsTotal.Inc()

@@ -1,6 +1,6 @@
 package server
 
-// Singleflight collapsing of concurrent identical /complete requests.
+// Singleflight collapsing of concurrent identical /v1/complete requests.
 // A cache stampede — N clients asking for the same cold (expression, E)
 // at once — would otherwise run N identical searches and burn N
 // admission slots on duplicate work. Instead the first request becomes

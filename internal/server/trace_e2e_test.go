@@ -301,13 +301,14 @@ func get(t *testing.T, url string) (*http.Response, string) {
 	return resp, readAll(t, resp)
 }
 
-// TestTraceHeadersOnLegacyRoutes: the request-ID and traceparent
-// echoes cover the legacy surface too (satellite 3).
+// TestTraceHeadersOnLegacyRoutes: the inbound request ID and
+// traceparent are echoed on the response, and the forced trace is
+// retained under its route; an unsampled request records nothing.
 func TestTraceHeadersOnLegacyRoutes(t *testing.T) {
 	sv := New(uni.New(), nil, core.Exact())
 	ts := newTS(t, sv)
 
-	req, err := http.NewRequest(http.MethodPost, ts+"/complete", strings.NewReader(`{"expr":"ta~name"}`))
+	req, err := http.NewRequest(http.MethodPost, ts+"/v1/complete", strings.NewReader(`{"expr":"ta~name"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,10 +326,9 @@ func TestTraceHeadersOnLegacyRoutes(t *testing.T) {
 	if tp := resp.Header.Get(obs.TraceparentHeader); !strings.Contains(tp, forcedTraceID) {
 		t.Errorf("traceparent = %q, want trace %s", tp, forcedTraceID)
 	}
-	// The legacy trace is retained like any sampled trace, named by its
-	// route.
+	// The trace is retained like any sampled trace, named by its route.
 	td := waitTrace(t, ts, forcedTraceID)
-	if td.Spans[0].Name != "POST /complete" {
+	if td.Spans[0].Name != "POST /v1/complete" {
 		t.Errorf("root span = %q", td.Spans[0].Name)
 	}
 

@@ -42,7 +42,7 @@ func (sv *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			sv.jsonError(w, r, http.StatusBadRequest, "limit must be a non-negative integer")
+			sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, "limit must be a non-negative integer")
 			return
 		}
 		if n < len(ts) {
@@ -58,14 +58,8 @@ func (sv *Server) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	td := sv.traceP.Trace(id)
 	if td == nil {
-		// Not the errCode(404) mapping: a missing trace is not an unknown
-		// schema, and "evicted or never retained" deserves its own code.
-		sv.writeJSON(w, r, http.StatusNotFound, Envelope{
-			Error: &APIError{Code: CodeNotFound,
-				Message: "no retained trace with id " + id + " (evicted, or never sampled/retained)"},
-			Meta: &Meta{ApiVersion: APIVersion,
-				DurationMs: float64(sinceStart(r)) / float64(time.Millisecond)},
-		})
+		sv.jsonError(w, r, http.StatusNotFound, CodeNotFound,
+			"no retained trace with id "+id+" (evicted, or never sampled/retained)")
 		return
 	}
 	sv.respond(w, r, http.StatusOK, td, nil)

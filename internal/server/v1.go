@@ -8,19 +8,14 @@ package server
 //
 // with error responses carrying data: null and a machine-readable
 // error object {"code", "message"} whose code is one of bad_request,
-// unknown_schema, deadline, overloaded, internal. The v1 routes are
-// served by the same handlers as the legacy ones: the response layer
-// (respond / jsonError) dispatches on the /v1/ path prefix, so the
-// pipeline — validation, admission, snapshot pinning, closure, cache,
-// singleflight, search — is byte-identical across surfaces and only
-// the rendering differs. Legacy routes keep working but answer with a
-// Deprecation header, a successor Link, a bounded per-route metric,
-// and a one-time log warning.
+// unknown_schema, not_found, deadline, overloaded, internal. respond
+// and jsonError are its only writers, and every error the server
+// answers — 429 sheds and recovered panics included, on any route —
+// goes through jsonError.
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -30,8 +25,6 @@ import (
 	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/registry"
 	"pathcomplete/internal/sdl"
-
-	"log/slog"
 )
 
 // V1Paths lists every /v1 route pattern the server mounts, exactly as
@@ -106,24 +99,18 @@ type Envelope struct {
 	Meta  *Meta     `json:"meta"`
 }
 
-// errCode maps an HTTP status to its v1 error code.
+// errCode maps a failure status of Server.complete to its v1 error
+// code.
 func errCode(status int) string {
 	switch {
-	case status == http.StatusNotFound:
-		return CodeUnknownSchema
-	case status == http.StatusTooManyRequests:
-		return CodeOverloaded
 	case status == http.StatusServiceUnavailable:
 		return CodeDeadline
 	case status >= 500:
 		return CodeInternal
-	default: // 400, 409, 413, 422
+	default: // 400, 422
 		return CodeBadRequest
 	}
 }
-
-// isV1 reports whether the request arrived on the versioned surface.
-func isV1(r *http.Request) bool { return strings.HasPrefix(r.URL.Path, "/v1/") }
 
 // startKey carries the request arrival time through the context, so
 // the envelope's durationMs covers the whole handler chain.
@@ -145,21 +132,30 @@ func sinceStart(r *http.Request) time.Duration {
 	return 0
 }
 
-// respond writes a success body: the bare payload on the legacy
-// surface, the envelope on /v1/. meta may be nil (an empty Meta with
-// just durationMs is emitted).
+// respond writes a success envelope around data. meta may be nil (an
+// empty Meta with just apiVersion and durationMs is emitted).
 func (sv *Server) respond(w http.ResponseWriter, r *http.Request, status int, data any, meta *Meta) {
-	if !isV1(r) {
-		sv.writeJSON(w, r, status, data)
-		return
-	}
 	if meta == nil {
 		meta = &Meta{}
 	}
+	sv.writeJSON(w, r, status, Envelope{Data: data, Meta: stampMeta(r, meta)})
+}
+
+// jsonError writes an error envelope: data null, error {code, msg}.
+func (sv *Server) jsonError(w http.ResponseWriter, r *http.Request, status int, code, msg string) {
+	sv.writeJSON(w, r, status, Envelope{
+		Error: &APIError{Code: code, Message: msg},
+		Meta:  stampMeta(r, &Meta{}),
+	})
+}
+
+// stampMeta fills the request-wide members of meta: the API version,
+// the trace ID, and the wall clock since the request arrived.
+func stampMeta(r *http.Request, meta *Meta) *Meta {
 	meta.ApiVersion = APIVersion
 	meta.TraceID = obs.SpanFromContext(r.Context()).TraceID()
 	meta.DurationMs = float64(sinceStart(r)) / float64(time.Millisecond)
-	sv.writeJSON(w, r, status, Envelope{Data: data, Meta: meta})
+	return meta
 }
 
 // APIVersion is the major version every v1 envelope stamps in
@@ -199,11 +195,7 @@ type SchemaDetailJSON struct {
 	SDL           string             `json:"sdl"`
 }
 
-// handleSchemaByName serves GET /v1/schemas/{name}. The legacy GET
-// /schema endpoint is an alias of this resolution for the default (or
-// ?schema=-named) schema, rendered as text/plain SDL; both route
-// through resolveSchema so they can never disagree about which
-// snapshot a name denotes.
+// handleSchemaByName serves GET /v1/schemas/{name}.
 func (sv *Server) handleSchemaByName(w http.ResponseWriter, r *http.Request) {
 	sn, ok := sv.resolveSchema(w, r, r.PathValue("name"))
 	if !ok {
@@ -212,7 +204,7 @@ func (sv *Server) handleSchemaByName(w http.ResponseWriter, r *http.Request) {
 	defer sn.Release()
 	var sb strings.Builder
 	if err := sdl.Write(&sb, sn.Schema()); err != nil {
-		sv.jsonError(w, r, http.StatusInternalServerError, err.Error())
+		sv.jsonError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
 	data := SchemaDetailJSON{
@@ -240,99 +232,11 @@ func (sv *Server) resolveSchema(w http.ResponseWriter, r *http.Request, name str
 	if err != nil {
 		if errors.Is(err, registry.ErrUnknownSchema) {
 			sv.met.unknownSchema.Inc()
-			sv.jsonError(w, r, http.StatusNotFound, err.Error())
+			sv.jsonError(w, r, http.StatusNotFound, CodeUnknownSchema, err.Error())
 		} else {
-			sv.jsonError(w, r, http.StatusInternalServerError, err.Error())
+			sv.jsonError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
 		}
 		return nil, false
 	}
 	return sn, true
-}
-
-// deprecatedSuccessor maps every legacy route to its v1 successor.
-// Requests on these routes keep working but are answered with a
-// Deprecation header (RFC 9745 boolean form), a successor Link, and a
-// per-route deprecation count.
-var deprecatedSuccessor = map[string]string{
-	"/complete":       "/v1/complete",
-	"/completeBatch":  "/v1/completeBatch",
-	"/evaluate":       "/v1/evaluate",
-	"/schemas":        "/v1/schemas",
-	"/schemas/reload": "/v1/schemas/reload",
-	"/schema":         "/v1/schemas/{name}",
-}
-
-// Legacy-route serving modes (SetLegacyRoutes, pathserve
-// -legacy-routes).
-const (
-	// LegacyOn serves legacy routes with only the Deprecation and
-	// successor Link headers — no Sunset, no warning log.
-	LegacyOn = "on"
-	// LegacyWarn (the default) additionally announces the retirement
-	// date via an RFC 8594 Sunset header and logs a one-time warning
-	// per route.
-	LegacyWarn = "warn"
-	// LegacyOff retires the legacy surface: requests get 410 Gone with
-	// the legacy {"error": ...} body naming the v1 successor.
-	LegacyOff = "off"
-)
-
-// LegacySunset is the announced retirement date of the legacy
-// (pre-/v1) surface, in the RFC 8594 Sunset header's HTTP-date form.
-const LegacySunset = "Thu, 31 Dec 2026 23:59:59 GMT"
-
-// SetLegacyRoutes selects how the legacy (pre-/v1) routes are served:
-// LegacyOn, LegacyWarn (the default), or LegacyOff. Call before
-// serving traffic.
-func (sv *Server) SetLegacyRoutes(mode string) error {
-	switch mode {
-	case LegacyOn, LegacyWarn, LegacyOff:
-		sv.legacyRoutes = mode
-		return nil
-	}
-	return fmt.Errorf("unknown legacy-routes mode %q (want on, warn, or off)", mode)
-}
-
-// legacyMode returns the configured legacy-route mode, defaulting to
-// LegacyWarn.
-func (sv *Server) legacyMode() string {
-	if sv.legacyRoutes == "" {
-		return LegacyWarn
-	}
-	return sv.legacyRoutes
-}
-
-// deprecate stamps legacy-route responses and counts them, honoring
-// the configured mode: "on" stamps Deprecation + Link only, "warn"
-// (default) adds the RFC 8594 Sunset date and a one-time log warning
-// per route, "off" answers 410 Gone without serving. Every mode keeps
-// the per-route metric, so operators can watch legacy traffic drain
-// before flipping to off.
-func (sv *Server) deprecate(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if succ, ok := deprecatedSuccessor[r.URL.Path]; ok {
-			mode := sv.legacyMode()
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "<"+succ+`>; rel="successor-version"`)
-			if mode != LegacyOn {
-				w.Header().Set("Sunset", LegacySunset)
-			}
-			sv.met.deprecated.With(r.URL.Path).Inc()
-			if mode == LegacyOff {
-				sv.jsonError(w, r, http.StatusGone,
-					"legacy route "+r.URL.Path+" is retired: use "+succ)
-				return
-			}
-			if mode == LegacyWarn {
-				if _, warned := sv.depWarned.LoadOrStore(r.URL.Path, true); !warned && sv.logger != nil {
-					sv.logger.LogAttrs(r.Context(), slog.LevelWarn, "deprecated route in use",
-						slog.String("route", r.URL.Path),
-						slog.String("successor", succ),
-						slog.String("id", w.Header().Get(obs.RequestIDHeader)),
-					)
-				}
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
 }

@@ -1,10 +1,10 @@
 package server
 
 // Envelope goldens for the /v1 surface: the success shape per
-// endpoint, every error code the closed set defines, the deprecation
-// contract on the legacy routes, and the closure serving path
-// end-to-end (engine=closure on the warm hot path, engine=search on
-// every fall-through shape, answers identical either way).
+// endpoint, every error code the closed set defines, and the closure
+// serving path end-to-end (engine=closure on the warm hot path,
+// engine=search on every fall-through shape, answers identical either
+// way).
 
 import (
 	"context"
@@ -43,6 +43,16 @@ func decodeEnvelope(t *testing.T, body string) testEnvelope {
 	return env
 }
 
+// decodeData decodes a success envelope's data member into out.
+func decodeData(t *testing.T, body string, out any) testEnvelope {
+	t.Helper()
+	env := decodeEnvelope(t, body)
+	if err := json.Unmarshal(env.Data, out); err != nil {
+		t.Fatalf("decode data: %v\n%s", err, body)
+	}
+	return env
+}
+
 // isNullData reports whether the envelope's data member is JSON null.
 func isNullData(d json.RawMessage) bool {
 	return len(d) == 0 || string(d) == "null"
@@ -67,9 +77,9 @@ func waitClosure(t *testing.T, sv *Server, name string) closure.Status {
 }
 
 // TestV1CompleteEnvelope pins the success envelope of POST
-// /v1/complete: data carries the same CompleteResponse the legacy
-// route returns, error is null, and meta names the snapshot and the
-// answering engine.
+// /v1/complete: data carries the CompleteResponse, error is null, meta
+// names the snapshot and the answering engine, and a repeated query
+// gets the same answer from the cache.
 func TestV1CompleteEnvelope(t *testing.T) {
 	ts := testServer(t, false)
 	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
@@ -97,15 +107,16 @@ func TestV1CompleteEnvelope(t *testing.T) {
 	if env.Meta.Engine != engineSearch {
 		t.Errorf("meta.engine = %q, want %q (closure not enabled)", env.Meta.Engine, engineSearch)
 	}
-
-	// The legacy route returns the identical payload, bare.
-	_, legacy := post(t, ts.URL+"/complete", `{"expr":"ta~name"}`)
-	var lout CompleteResponse
-	if err := json.Unmarshal([]byte(legacy), &lout); err != nil {
-		t.Fatalf("decode legacy: %v", err)
+	if out.Calls <= 0 {
+		t.Errorf("calls = %d", out.Calls)
 	}
-	if !reflect.DeepEqual(lout.Completions, out.Completions) {
-		t.Errorf("legacy and v1 payloads diverge:\n v1: %+v\n legacy: %+v", out.Completions, lout.Completions)
+	// The second identical request is served from cache and must give
+	// the same answer.
+	_, body2 := post(t, ts.URL+"/v1/complete", `{"expr":"ta ~ name"}`)
+	var out2 CompleteResponse
+	decodeData(t, body2, &out2)
+	if !reflect.DeepEqual(out2.Completions, out.Completions) {
+		t.Errorf("cached answer differs: %+v", out2.Completions)
 	}
 }
 
@@ -272,49 +283,6 @@ func readAll(t *testing.T, resp *http.Response) string {
 		if err != nil {
 			return sb.String()
 		}
-	}
-}
-
-// TestLegacyDeprecation: every legacy route answers with the
-// Deprecation header and its v1 successor Link, counts into the
-// deprecation metric, and keeps returning its legacy payload; the v1
-// routes carry neither header.
-func TestLegacyDeprecation(t *testing.T) {
-	sv, ts := newTestSrv(t, uni.New())
-	for route, succ := range deprecatedSuccessor {
-		var resp *http.Response
-		switch route {
-		case "/complete", "/completeBatch", "/evaluate", "/schemas/reload":
-			resp, _ = post(t, ts.URL+route, `{"expr":"ta~name"}`)
-		default:
-			r, err := http.Get(ts.URL + route)
-			if err != nil {
-				t.Fatalf("GET %s: %v", route, err)
-			}
-			r.Body.Close()
-			resp = r
-		}
-		if got := resp.Header.Get("Deprecation"); got != "true" {
-			t.Errorf("%s: Deprecation = %q, want \"true\"", route, got)
-		}
-		wantLink := "<" + succ + `>; rel="successor-version"`
-		if got := resp.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s: Link = %q, want %q", route, got, wantLink)
-		}
-		// The default mode is warn: the retirement date is announced.
-		if got := resp.Header.Get("Sunset"); got != LegacySunset {
-			t.Errorf("%s: Sunset = %q, want %q", route, got, LegacySunset)
-		}
-		if got := sv.met.deprecated.With(route).Value(); got != 1 {
-			t.Errorf("%s: deprecation count = %d, want 1", route, got)
-		}
-	}
-
-	// The versioned surface is not deprecated.
-	resp, _ := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
-	if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
-		t.Errorf("/v1/complete carries deprecation headers: %q %q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
 	}
 }
 
