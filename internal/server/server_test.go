@@ -73,6 +73,34 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+func TestCompleteEndpoint(t *testing.T) {
+	ts := testServer(t, false)
+	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var out CompleteResponse
+	decodeData(t, body, &out)
+	want := []CompletionJSON{
+		{Path: "ta@>grad@>student@>person.name", Conn: ".", SemLen: 1},
+		{Path: "ta@>instructor@>teacher@>employee@>person.name", Conn: ".", SemLen: 1},
+	}
+	if !reflect.DeepEqual(out.Completions, want) {
+		t.Errorf("completions = %+v", out.Completions)
+	}
+	if out.Calls <= 0 {
+		t.Errorf("calls = %d", out.Calls)
+	}
+	// The second identical request is served from cache and must give
+	// the same answer.
+	_, body2 := post(t, ts.URL+"/v1/complete", `{"expr":"ta ~ name"}`)
+	var out2 CompleteResponse
+	decodeData(t, body2, &out2)
+	if !reflect.DeepEqual(out2.Completions, out.Completions) {
+		t.Errorf("cached answer differs: %+v", out2.Completions)
+	}
+}
+
 func TestCompleteEndpointE(t *testing.T) {
 	ts := testServer(t, false)
 	_, body1 := post(t, ts.URL+"/v1/complete", `{"expr":"ta~course"}`)

@@ -75,6 +75,9 @@ func FuzzSessionProtocol(f *testing.F) {
 		if err != nil {
 			t.Skipf("dial: %v", err)
 		}
+		// A failed check must still end the server's session, or the
+		// corpus cleanup waits on it.
+		defer conn.Close(ws.CloseNormal, "")
 		frames := strings.Split(string(data), "\n")
 		abrupt := len(frames) > 1 && frames[len(frames)-1] == ""
 		if abrupt {
@@ -137,7 +140,6 @@ func FuzzSessionProtocol(f *testing.F) {
 		if !sawHello {
 			t.Fatalf("no hello frame")
 		}
-		conn.Close(ws.CloseNormal, "")
 	})
 }
 

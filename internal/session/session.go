@@ -195,7 +195,11 @@ func (s *session) readLoop() error {
 		s.event(Event{Kind: "update", Seq: f.Seq})
 		s.mu.Lock()
 		if s.pending != nil {
+			// Empty the slot before unlocking: an update the work loop
+			// could still take while its skipped is on the wire would
+			// get a second terminal.
 			skipped := s.pending.Seq
+			s.pending = nil
 			s.mu.Unlock()
 			s.sendSkipped(skipped)
 			s.mu.Lock()

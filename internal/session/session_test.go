@@ -476,3 +476,20 @@ func TestSendFaultIsFatal(t *testing.T) {
 		t.Errorf("Run did not report the injected send fault")
 	}
 }
+
+// TestSupersededUpdateHasOneTerminal: an update overwritten in the
+// coalescing slot is answered skipped by the reader, so the work loop
+// must never also take it — that would put a batch or a second
+// terminal after the skipped. Back-to-back pairs with no debounce
+// land in that window.
+func TestSupersededUpdateHasOneTerminal(t *testing.T) {
+	srv, _ := startServer(t, uniRegistry(), nil)
+	c, err := sessiontest.Dial(srv.URL, testTimeout)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	for i := 0; i < 200; i++ {
+		c.Burst(t, "ta~n", "ta~na")
+	}
+}
