@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-race race cover cover-gate loc bench bench-json bench-closure bench-smoke bench-obs bench-trace bench-coldstart bench-coldstart-smoke bench-constrained bench-constrained-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
+.PHONY: all build test test-race race cover cover-gate loc bench bench-smoke experiments fuzz fuzz-smoke chaos chaos-persist chaos-sessions fmt vet clean
 
 all: build vet test
 
@@ -49,83 +49,38 @@ loc:
 	@printf 'non-test Go lines: '; $(LOC_GO) ! -name '*_test.go' -print | xargs cat | wc -l
 	@printf 'test Go lines:     '; $(LOC_GO) -name '*_test.go' -print | xargs cat | wc -l
 
+# The microbenchmark ledger: `make bench` runs every tracked series and
+# writes all of them to BENCH_core.json, which is the committed file.
+#   - TRACKED_BENCH, from the root package: the search-kernel series,
+#     the closure-vs-kernel point query, the lanes that report traverse
+#     calls per query (Figure 7 at E=5, the engine presets, the
+#     Algorithm 2 ablations; a kernel change that claims a lower cost
+#     per call must leave their calls/query where they were), and the
+#     constrained-gap lanes against their in-run unconstrained baseline;
+#   - TracerOverhead, from internal/core: nil vs noop vs recording
+#     tracers on the flagship query (TestWarmCompleteAllocs enforces the
+#     tracing-off allocation bound);
+#   - Coldstart: restoring the 1000-class closure from its checksummed
+#     file vs rebuilding it by search (the restart guarantee, >=10x).
+#     Its rebuild takes tens of seconds, the whole run a few minutes.
+# `make bench-smoke` runs the same set at one iteration each through
+# the same JSON pipeline without writing the file: enough to prove
+# every lane still runs (the constrained lanes check their pinned
+# completion counts, Coldstart that restore and rebuild agree cell for
+# cell) and the output still parses. A failing lane fails either target.
+TRACKED_BENCH = UniversityTaName|SchemaScaling|ClosureUniversityTaName|EngineComparison|Ablation|Figure7ResponseTime|Constrained
+bench-run = { $(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx $(1) . && \
+	$(GO) test -bench=TracerOverhead -benchmem -run xxx $(1) ./internal/core && \
+	$(GO) test -bench=Coldstart -benchmem -run xxx -timeout 30m $(1) . ; } > bench_output.txt
+
 bench:
-	$(GO) test -bench=. -benchmem -run xxx .
-
-# The tracked benchmark set as machine-readable JSON, for tracking
-# time/op and allocs/op across commits (see README "Performance").
-# Covers the search-kernel series, the closure-vs-kernel point query —
-# the lookup/search ratio is the tentpole >=10x claim — and the lanes
-# that report traverse calls per query (Figure 7 at E=5, the engine
-# presets, the Algorithm 2 ablations): a kernel change that claims a
-# lower cost per call must leave their calls/query where they were.
-TRACKED_BENCH = UniversityTaName|SchemaScaling|ClosureUniversityTaName|EngineComparison|Ablation|Figure7ResponseTime
-bench-json:
-	$(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
+	$(call bench-run,)
+	$(GO) run ./cmd/benchjson < bench_output.txt > BENCH_core.json
 	@echo wrote BENCH_core.json
 
-# Alias used by the closure work: regenerate the tracked series after
-# touching the all-pairs index or the kernel it mirrors.
-bench-closure: bench-json
-
-# CI-sized variant: one iteration per benchmark, just enough to prove
-# the benchmarks still run and the JSON pipeline still parses.
 bench-smoke:
-	$(GO) test -bench='$(TRACKED_BENCH)' -benchtime=1x -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > /dev/null
-
-# Demonstrate that the observability layer costs ~nothing when off:
-# compare nil vs noop vs recording tracers on the flagship query.
-bench-obs:
-	$(GO) test -bench=TracerOverhead -benchmem -count=5 -run xxx ./internal/core
-
-# The tracing cost ledger: the tracked kernel series plus the
-# tracer-overhead comparison, folded into BENCH_core.json. The
-# tracing-disabled numbers here are what the span pipeline must not
-# move (the <2% / zero-alloc pin; see TestWarmCompleteAllocs for the
-# enforced guard).
-bench-trace:
-	{ $(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . ; \
-	  $(GO) test -bench=TracerOverhead -benchmem -run xxx ./internal/core ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# The durable-state cost ledger: the tracked kernel series plus the
-# coldstart comparison (restore the 1000-class closure from its
-# checksummed on-disk file vs rebuild it by search), folded into
-# BENCH_core.json. The disk/rebuild ratio is the restart guarantee the
-# persistence tentpole sells: >=10x.
-bench-coldstart:
-	{ $(GO) test -bench='$(TRACKED_BENCH)' -benchmem -run xxx . ; \
-	  $(GO) test -bench=TracerOverhead -benchmem -run xxx ./internal/core ; \
-	  $(GO) test -bench=Coldstart -benchmem -run xxx -timeout 30m . ; } \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# CI-sized variant: one iteration per series, enough to prove restore
-# and rebuild still agree cell-for-cell on the big schema.
-bench-coldstart-smoke:
-	$(GO) test -bench=Coldstart -benchtime=1x -benchmem -run xxx -timeout 30m . \
-		| $(GO) run ./cmd/benchjson > /dev/null
-
-# The gap-annotation cost ledger: the tracked kernel series plus the
-# constrained lanes (regex-constrained gap, pushed-down predicate,
-# degenerate .* constraint, and their composition — each against the
-# in-run unconstrained baseline), folded into BENCH_core.json. The
-# unconstrained baseline is the number the annotations must not move;
-# its alloc bound is enforced by TestWarmCompleteAllocs in CI.
-bench-constrained:
-	$(GO) test -bench='$(TRACKED_BENCH)|Constrained' -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > BENCH_core.json
-	@echo wrote BENCH_core.json
-
-# CI-sized variant: one iteration per lane, enough to prove the
-# constrained benchmarks still run (the regex/predicate kernels still
-# answer with the pinned completion counts) and the JSON still parses.
-bench-constrained-smoke:
-	$(GO) test -bench=Constrained -benchtime=1x -benchmem -run xxx . \
-		| $(GO) run ./cmd/benchjson > /dev/null
+	$(call bench-run,-benchtime=1x)
+	$(GO) run ./cmd/benchjson < bench_output.txt > /dev/null
 
 # Regenerate every table and figure of the paper's evaluation.
 experiments:

@@ -49,8 +49,9 @@
 // durable: each schema's compiled index is written to the data
 // directory (checksummed, fsynced, atomically renamed) when warming
 // completes, and the next boot restores it instead of recompiling —
-// corrupt, stale, or torn files are quarantined and the schema falls
-// back to a fresh compile, so bad durable state never fails a start.
+// corrupt or torn files are quarantined (stale ones left for the next
+// save to replace) and the schema falls back to a fresh compile, so
+// bad durable state never fails a start.
 // /readyz reports readiness (default schema installed, recovery done,
 // not draining) alongside the pure-liveness /healthz; SIGTERM flips
 // /readyz not-ready and flushes pending saves before draining.
@@ -154,7 +155,7 @@ func parseFlags(args []string) (config, error) {
 	fs.Int64Var(&cfg.closureMaxBytes, "closure-max-bytes", 256<<20, "byte budget across all live closure indexes and in-progress builds (0: unbounded); a build that would exceed it stops and the snapshot serves through the search kernel")
 	fs.IntVar(&cfg.closureWorkers, "closure-workers", 1, "concurrent snapshot closure builds (>= 1); each build uses every core")
 	fs.BoolVar(&cfg.persistOn, "persist", false, "durably persist each schema's compiled closure state to -data-dir when it finishes warming, and restore it (checksum- and schema-verified) on startup instead of recompiling; requires -closure and -data-dir")
-	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable state (created if absent; corrupt or stale snapshot files are moved to its quarantine/ subdirectory, never served)")
+	fs.StringVar(&cfg.dataDir, "data-dir", "", "directory for durable state (created if absent; corrupt snapshot files are moved to its quarantine/ subdirectory, stale ones left for the next save to replace; neither is served)")
 	fs.Float64Var(&cfg.traceSample, "trace-sample", 0, "head-sample this fraction of requests into /v1/traces (0: only client-forced and tail-rule traces; 1: every request)")
 	fs.DurationVar(&cfg.slowThreshold, "slow-threshold", 0, "retain any request at least this slow in /v1/traces and log it at /v1/queries/slow regardless of sampling (0: off)")
 	fs.IntVar(&cfg.spanBuffer, "span-buffer", 0, "retained-trace ring size (0: default "+fmt.Sprint(obs.DefaultTraceBuffer)+")")

@@ -226,24 +226,3 @@ func (t *TraceRecorder) renderRels(rels []schema.RelID) string {
 }
 
 var _ Tracer = (*TraceRecorder)(nil)
-
-// CountingTracer is the cheapest useful Tracer: it tallies how many
-// events of each kind a search emitted without rendering or retaining
-// any of them. The serving layer bridges these counts into a sampled
-// request's span attributes, where a full TraceRecorder event log
-// would be disproportionate. Like every Tracer, it must not be shared
-// between concurrently running searches.
-type CountingTracer struct {
-	Enters   int
-	Prunes   int
-	Offers   int
-	Preempts int
-}
-
-func (t *CountingTracer) OnEnter(schema.ClassID, int, int, label.Label) { t.Enters++ }
-
-func (t *CountingTracer) OnPrune(PruneKind, schema.Rel, int, label.Label) { t.Prunes++ }
-
-func (t *CountingTracer) OnOffer([]schema.RelID, label.Label, bool) { t.Offers++ }
-
-func (t *CountingTracer) OnPreempt(dropped, by *pathexpr.Resolved) { t.Preempts++ }

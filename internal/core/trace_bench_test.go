@@ -20,7 +20,7 @@ func (noopTracer) OnOffer([]schema.RelID, label.Label, bool)       {}
 func (noopTracer) OnPreempt(_, _ *pathexpr.Resolved)               {}
 
 // BenchmarkTracerOverhead quantifies the cost of the tracing layer on
-// the flagship ta~name completion (the `make bench-obs` target):
+// the flagship ta~name completion (a series of `make bench`):
 //
 //	nil        the production hot path — Options.Tracer == nil, every
 //	           hook site is one untaken branch. This must be

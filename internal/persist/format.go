@@ -13,12 +13,13 @@
 //	  │           │                      │                  │
 //	  │ missing   │ corrupt              │ stale            │ bad cells
 //	  ▼           ▼                      ▼                  ▼
-//	recompile   quarantine+recompile   quarantine+...     quarantine+...
+//	recompile   quarantine+recompile   recompile          quarantine+...
 //
 // Every failure edge falls back to SDL recompile — bad durable state
-// can cost a rebuild, never a failed boot. Quarantined files are moved
-// (not deleted) to <dir>/quarantine for post-mortem, and every edge is
-// counted in Stats.
+// can cost a rebuild, never a failed boot. A stale file (another
+// schema's, as after a schema-changing reload) stays for the coming
+// save to replace; damaged ones are moved (not deleted) to
+// <dir>/quarantine for post-mortem. Every edge is counted in Stats.
 //
 // Cells round-trip bit-for-bit: a completion is stored as its concrete
 // edge sequence (root class + relationship IDs) and rebuilt through
@@ -32,6 +33,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sort"
@@ -229,36 +231,40 @@ func captureCell(root schema.ClassID, res *core.Result) Cell {
 	return c
 }
 
+// errStale wraps every Validate error that finds the file written for
+// another name, schema, options or ID assignment: an expected miss.
+var errStale = errors.New("persist: stale")
+
 // Validate checks that f is the durable state of exactly the
 // (name, schema, options) the caller is about to serve. A non-nil
 // error means the file is stale and its cells must not be trusted.
 func (f *File) Validate(name string, s *schema.Schema, opts core.Options) error {
 	if f.Name != name {
-		return fmt.Errorf("persist: stale: file is for schema %q, serving %q", f.Name, name)
+		return fmt.Errorf("%w: file is for schema %q, serving %q", errStale, f.Name, name)
 	}
 	text, err := sdl.WriteString(s)
 	if err != nil {
 		return fmt.Errorf("persist: render schema %q: %w", name, err)
 	}
 	if f.SDL != text {
-		return fmt.Errorf("persist: stale: schema %q changed since save", name)
+		return fmt.Errorf("%w: schema %q changed since save", errStale, name)
 	}
 	if fp := Fingerprint(opts); f.Fingerprint != fp {
-		return fmt.Errorf("persist: stale: engine options changed since save (%s vs %s)", f.Fingerprint, fp)
+		return fmt.Errorf("%w: engine options changed since save (%s vs %s)", errStale, f.Fingerprint, fp)
 	}
 	if len(f.Classes) != s.NumClasses() || len(f.Rels) != s.NumRels() {
-		return fmt.Errorf("persist: stale: schema %q sizes changed (classes %d→%d, rels %d→%d)",
+		return fmt.Errorf("%w: schema %q sizes changed (classes %d→%d, rels %d→%d)", errStale,
 			name, len(f.Classes), s.NumClasses(), len(f.Rels), s.NumRels())
 	}
 	for id, want := range f.Classes {
 		if got := s.Class(schema.ClassID(id)).Name; got != want {
-			return fmt.Errorf("persist: stale: class %d is %q, saved as %q", id, got, want)
+			return fmt.Errorf("%w: class %d is %q, saved as %q", errStale, id, got, want)
 		}
 	}
 	for id, want := range f.Rels {
 		r := s.Rel(schema.RelID(id))
 		if got := (RelRef{From: s.Class(r.From).Name, Name: r.Name}); got != want {
-			return fmt.Errorf("persist: stale: rel %d is %s.%s, saved as %s.%s",
+			return fmt.Errorf("%w: rel %d is %s.%s, saved as %s.%s", errStale,
 				id, got.From, got.Name, want.From, want.Name)
 		}
 	}

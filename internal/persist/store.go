@@ -18,7 +18,7 @@ import (
 )
 
 // QuarantineDir is the subdirectory of the data directory that
-// receives corrupt, stale, and version-mismatched snapshot files.
+// receives damaged snapshot files; stale ones stay put (see Restore).
 const QuarantineDir = "quarantine"
 
 // tmpPrefix marks in-progress writes. Anything carrying it at Open
@@ -53,7 +53,7 @@ type Stats struct {
 	// (missing, corrupt, or stale durable state) — the clean-restart
 	// drill asserts this stays zero.
 	Recompiles uint64 `json:"recompiles"`
-	// Quarantines counts files moved aside as corrupt or stale.
+	// Quarantines counts files moved aside as damaged (not stale).
 	Quarantines uint64 `json:"quarantines"`
 	// TmpSwept counts crash-debris temp files removed at Open.
 	TmpSwept uint64 `json:"tmpSwept"`
@@ -321,9 +321,10 @@ func (st *Store) Load(name string) (*File, error) {
 // rebuild the index. A missing file, a valid file without a closure
 // payload, or any failure returns a nil index and counts a recompile
 // — the caller falls back to warming by search, so bad durable state
-// can never fail a boot. Corrupt and stale files are additionally
-// quarantined with a counted warning. The returned error describes
-// why the restore missed (nil on the silent misses).
+// can never fail a boot. A stale file is the expected miss of a
+// schema-changing reload and stays for the coming save to replace; a
+// damaged one is also quarantined with a counted warning. The returned
+// error describes why the restore missed (nil on the silent misses).
 func (st *Store) Restore(name string, s *schema.Schema, opts core.Options, gen uint64) (*closure.Index, error) {
 	start := time.Now()
 	data, err := st.readImage(name)
@@ -338,7 +339,9 @@ func (st *Store) Restore(name string, s *schema.Schema, opts core.Options, gen u
 	}
 	_, ix, err := RestoreImage(data, name, s, opts, gen)
 	if err != nil {
-		st.quarantine(name, err)
+		if !errors.Is(err, errStale) {
+			st.quarantine(name, err)
+		}
 		st.recompiles.Add(1)
 		return nil, err
 	}

@@ -2,8 +2,8 @@ package registry
 
 // Registry ↔ persist integration: restore-before-compile on install,
 // persist-after-warm from the watcher goroutine, durable files
-// following their schema's lifecycle (stale quarantine on SDL change,
-// deletion when a reload drops the name), and — under -race — SIGHUP
+// following their schema's lifecycle (a stale file replaced on SDL
+// change, deletion when a reload drops the name), and — under -race — SIGHUP
 // reloads racing background persists without leaking temp files,
 // regressing the on-disk generation, or quarantining live state.
 
@@ -139,11 +139,12 @@ func TestPersistStaleSchemaChangeRecompiles(t *testing.T) {
 	waitWarmSaved(t, r1, ps1)
 
 	// The schema changes between runs: the durable file is stale and
-	// must be quarantined, recompiled, and replaced — never served.
+	// must be recompiled and replaced — never served, and not
+	// quarantined: stale is the expected miss.
 	writeSchemaDir(t, dir, map[string]string{"main": schemaV2})
 	r2, ps2 := persistReg(t, dir, data)
-	if s := ps2.Stats(); s.Restores != 0 || s.Recompiles != 1 || s.Quarantines != 1 {
-		t.Fatalf("stale-boot stats = %+v, want quarantine + recompile", s)
+	if s := ps2.Stats(); s.Restores != 0 || s.Recompiles != 1 || s.Quarantines != 0 {
+		t.Fatalf("stale-boot stats = %+v, want a recompile and no quarantine", s)
 	}
 	sn, err := r2.Acquire("main")
 	if err != nil {
@@ -157,6 +158,40 @@ func TestPersistStaleSchemaChangeRecompiles(t *testing.T) {
 	f, err := ps2.Load("main")
 	if err != nil || f == nil {
 		t.Fatalf("re-saved file: (%v, %v)", f, err)
+	}
+}
+
+// TestPersistReloadsLeaveNoQuarantine: every schema-changing reload
+// finds the previous schema's file on disk. That file is stale, an
+// expected miss: it stays for the coming save to replace, and nothing
+// lands in quarantine/ however often the schema changes.
+func TestPersistReloadsLeaveNoQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	data := t.TempDir()
+	writeSchemaDir(t, dir, map[string]string{"main": schemaV1})
+	r, ps := persistReg(t, dir, data)
+	waitWarmSaved(t, r, ps)
+	const reloads = 6
+	for i := 0; i < reloads; i++ {
+		text := schemaV2
+		if i%2 == 1 {
+			text = schemaV1
+		}
+		writeSchemaDir(t, dir, map[string]string{"main": text})
+		if err := r.Reload(); err != nil {
+			t.Fatal(err)
+		}
+		waitWarmSaved(t, r, ps)
+	}
+	left, err := os.ReadDir(filepath.Join(data, persist.QuarantineDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Errorf("%d files in quarantine after %d reloads, want none", len(left), reloads)
+	}
+	if s := ps.Stats(); s.Quarantines != 0 || s.Recompiles != reloads+1 || s.Saves != reloads+1 {
+		t.Errorf("stats = %+v, want %d recompiles and saves, no quarantine", s, reloads+1)
 	}
 }
 

@@ -202,8 +202,8 @@ func (r *Registry) warmClosure(sn *Snapshot, prevIx *closure.Index, prevSchema *
 	if ps := r.persist; ps != nil {
 		// Recovery state machine: a valid durable snapshot skips the
 		// whole build; every failure mode inside Restore (missing,
-		// corrupt, stale — the latter two quarantined) falls through
-		// to the ordinary warm below. Startup never fails here.
+		// stale, corrupt — only the last quarantined) falls through to
+		// the ordinary warm below. Startup never fails here.
 		if ix, _ := ps.Restore(sn.name, sn.s, r.opts, sn.gen); ix != nil {
 			if h, ok := b.Adopt(ix); ok {
 				sn.cl.Store(h)

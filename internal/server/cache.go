@@ -81,11 +81,9 @@ func resultBytes(res *core.Result) int64 {
 // concurrent use; the Server guards it with its mutex.
 type shardedCache struct {
 	maxEntries int
-	budget     int64
 	used       int64
 	ll         *list.List // front = most recently used, across all shards
 	items      map[cacheKey]*list.Element
-	perShard   map[shardID]int // live entry count per shard
 	// deletes counts removals from items since it was last rebuilt; see
 	// removeElement.
 	deletes int
@@ -97,10 +95,8 @@ func newShardedCache(maxEntries int) *shardedCache {
 	}
 	return &shardedCache{
 		maxEntries: maxEntries,
-		budget:     DefaultCacheBudget,
 		ll:         list.New(),
 		items:      make(map[cacheKey]*list.Element),
-		perShard:   make(map[shardID]int),
 	}
 }
 
@@ -126,7 +122,6 @@ func (c *shardedCache) put(k cacheKey, res *core.Result) int {
 		return c.evictOver()
 	}
 	c.items[k] = c.ll.PushFront(&cacheEntry{key: k, res: res, size: size})
-	c.perShard[k.shard]++
 	c.used += size
 	return c.evictOver()
 }
@@ -135,7 +130,7 @@ func (c *shardedCache) put(k cacheKey, res *core.Result) int {
 // hold.
 func (c *shardedCache) evictOver() int {
 	evicted := 0
-	for c.ll.Len() > c.maxEntries || (c.used > c.budget && c.ll.Len() > 0) {
+	for c.ll.Len() > c.maxEntries || (c.used > DefaultCacheBudget && c.ll.Len() > 0) {
 		c.removeElement(c.ll.Back())
 		evicted++
 	}
@@ -160,11 +155,6 @@ func (c *shardedCache) removeElement(el *list.Element) {
 		c.items, c.deletes = items, 0
 	}
 	c.used -= ent.size
-	if n := c.perShard[ent.key.shard] - 1; n > 0 {
-		c.perShard[ent.key.shard] = n
-	} else {
-		delete(c.perShard, ent.key.shard)
-	}
 }
 
 // dropStale removes every entry whose shard fails keep — the reload
@@ -184,10 +174,5 @@ func (c *shardedCache) dropStale(keep func(shardID) bool) int {
 	return dropped
 }
 
-// shardLen returns the number of live entries for one shard. Test and
-// metrics hook.
-func (c *shardedCache) shardLen(id shardID) int { return c.perShard[id] }
-
-func (c *shardedCache) len() int        { return c.ll.Len() }
-func (c *shardedCache) bytes() int64    { return c.used }
-func (c *shardedCache) shardCount() int { return len(c.perShard) }
+func (c *shardedCache) len() int     { return c.ll.Len() }
+func (c *shardedCache) bytes() int64 { return c.used }

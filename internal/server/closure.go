@@ -1,13 +1,13 @@
 package server
 
-// Closure serving: the server consults the snapshot's materialized
-// all-pairs index before the search kernel for the dominant query
-// shape — a single-gap expression `root ~ anchor` at the server's
-// default E, untraced and unbudgeted. Everything else (multi-gap,
-// per-request E, trace, per-request timeout) falls through to the
-// ordinary pipeline by design: the index only materializes the shape
-// the paper identifies as the interactive hot path, and a budgeted
-// request explicitly asked for a bounded fresh search.
+// Closure serving: resolve consults the snapshot's materialized
+// all-pairs index before the memo and the search kernel for the
+// dominant query shape — a single unannotated gap `root ~ anchor` at
+// the server's default E, untraced and unbudgeted. Everything else
+// (multi-gap, annotated gaps, per-request E, trace, per-request
+// timeout) falls through by design: the index only materializes the
+// shape the paper identifies as the interactive hot path, and a
+// budgeted request explicitly asked for a bounded fresh search.
 //
 // A closure answer is bit-for-bit the Result the kernel would have
 // produced (internal/closure builds every cell through the serving
@@ -19,7 +19,6 @@ import (
 	"pathcomplete/internal/closure"
 	"pathcomplete/internal/core"
 	"pathcomplete/internal/obs"
-	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/registry"
 )
 
@@ -65,36 +64,23 @@ func (o closureObserver) ClosureBuildFinished(schema, outcome string, elapsed ti
 		map[string]any{obs.AttrSchema: schema, "outcome": outcome, "bytes": bytes}, errMsg)
 }
 
-// closureEligible reports whether the request may be answered from
-// the closure at all: default E, no trace, no per-request budget.
-// (The expression shape is checked by closureLookup.)
-func (sv *Server) closureEligible(req CompleteRequest, opts core.Options) bool {
-	return !req.Trace && req.TimeoutMs == 0 && opts.E == sv.opts.E
-}
-
-// closureLookup answers a single-gap expression from the snapshot's
-// materialized index. ok is false when the expression is not
-// single-gap, the index is not ready, or the cell is absent (unknown
-// or primitive root — the fall-through search produces the canonical
-// error); eligible reports whether the expression shape qualified,
-// so the caller can distinguish a miss from a fallback.
-func (sv *Server) closureLookup(sn *registry.Snapshot, e pathexpr.Expr) (res *core.Result, ok, eligible bool) {
-	// An annotated gap (regex constraint) or a pushed-down predicate
-	// changes the answer set: the index only materializes the
-	// unconstrained cells, so those queries must fall through to the
-	// kernel.
-	if len(e.Steps) != 1 || !e.Steps[0].Gap ||
-		e.Steps[0].Constraint != "" || e.Steps[0].Pred != "" {
-		return nil, false, false
-	}
+// closureCell is the server's one closure lookup (resolve's, and every
+// session frontier's cell source): the cell root ~ anchor of the
+// snapshot's index, counted as a hit. ok is false when the index is not
+// ready or the cell is absent (an unknown or primitive root: the
+// fall-through search produces the canonical error).
+func (sv *Server) closureCell(sn *registry.Snapshot, root, anchor string) (res *core.Result, ok bool) {
 	ix := sn.Closure().Index()
 	if ix == nil {
-		return nil, false, true
+		return nil, false
 	}
-	root, found := sn.Schema().ClassByName(e.Root)
+	rc, found := sn.Schema().ClassByName(root)
 	if !found {
-		return nil, false, true
+		return nil, false
 	}
-	res, hit := ix.Lookup(root.ID, e.Steps[0].Name)
-	return res, hit, true
+	res, ok = ix.Lookup(rc.ID, anchor)
+	if ok {
+		sv.met.closureHits.Inc()
+	}
+	return res, ok
 }

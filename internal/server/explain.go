@@ -14,14 +14,12 @@ package server
 // the core and server explain tests.
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 
 	"pathcomplete/internal/core"
-	"pathcomplete/internal/obs"
 	"pathcomplete/internal/registry"
 )
 
@@ -116,34 +114,9 @@ func (sv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// The derivation is the explanation; a kernel event log would only
 	// force a cache-bypassing fresh search.
 	req.Trace = false
-	if err := sv.validateComplete(&req); err != nil {
-		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
-		return
-	}
-	defer release()
-	c, status, err := sv.complete(ctx, sn, req)
-	if err != nil {
-		obs.SpanFromContext(r.Context()).SetError(err.Error())
-		sv.jsonError(w, r, status, errCode(status), err.Error())
-		return
-	}
-	obs.SpanFromContext(r.Context()).SetAttr(obs.AttrEngine, c.engine)
-	sv.respond(w, r, http.StatusOK, sv.explainResponse(sn, c), completeMeta(sn, c))
+	sv.serveComplete(w, r, req, func(sn *registry.Snapshot, c completed) any {
+		return sv.explainResponse(sn, c)
+	})
 }
 
 // explainResponse unfolds one completed query into its provenance

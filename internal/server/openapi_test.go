@@ -7,6 +7,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -63,14 +64,15 @@ func TestOpenAPIPathsMatchV1Paths(t *testing.T) {
 
 // TestV1PathsAreServed: every declared v1 route is actually mounted —
 // requesting it (with {name} bound to a served schema) never hits the
-// mux's 404 fallthrough — and the retired pre-/v1 routes are not: each
-// of them gets the mux's 404 like any other unknown path.
+// mux's 404 fallthrough nor the /v1 fallback's (v1Unrouted) — and the
+// retired pre-/v1 routes are not: each of them gets the mux's 404 like
+// any other unknown path.
 func TestV1PathsAreServed(t *testing.T) {
 	sv := New(uni.New(), nil, core.Paper())
 	ts := httptest.NewServer(sv.Handler())
 	defer ts.Close()
 
-	do := func(method, path string) *http.Response {
+	do := func(method, path string) (*http.Response, string) {
 		t.Helper()
 		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader(`{}`))
 		if err != nil {
@@ -81,8 +83,7 @@ func TestV1PathsAreServed(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		resp.Body.Close()
-		return resp
+		return resp, readAll(t, resp)
 	}
 	// Handlers may legitimately reject the empty body with 400/409, or
 	// answer 404 unknown_schema for an unserved name — but that carries
@@ -90,6 +91,14 @@ func TestV1PathsAreServed(t *testing.T) {
 	muxNotFound := func(resp *http.Response) bool {
 		return resp.StatusCode == http.StatusNotFound &&
 			!strings.HasPrefix(resp.Header.Get("Content-Type"), "application/json")
+	}
+	// Under /v1 an unmounted path answers the envelope too: v1Unrouted's
+	// not_found, told from a handler's own by its message.
+	v1NotFound := func(resp *http.Response, body string) bool {
+		var env Envelope
+		return resp.StatusCode == http.StatusNotFound &&
+			json.Unmarshal([]byte(body), &env) == nil && env.Error != nil &&
+			strings.HasPrefix(env.Error.Message, noV1Route)
 	}
 
 	schemaName := sv.SchemaRegistry().DefaultName()
@@ -100,9 +109,9 @@ func TestV1PathsAreServed(t *testing.T) {
 		case "/v1/complete", "/v1/completeBatch", "/v1/evaluate", "/v1/schemas/reload":
 			method = http.MethodPost
 		}
-		resp := do(method, path)
-		if muxNotFound(resp) {
-			t.Errorf("%s %s: mux 404 — declared in V1Paths but not mounted", method, p)
+		resp, body := do(method, path)
+		if muxNotFound(resp) || v1NotFound(resp, body) {
+			t.Errorf("%s %s: 404 %s — declared in V1Paths but not mounted", method, p, body)
 		}
 		if resp.StatusCode == http.StatusMethodNotAllowed {
 			t.Errorf("%s %s: 405 — mounted under a different method than the spec documents", method, p)
@@ -117,7 +126,7 @@ func TestV1PathsAreServed(t *testing.T) {
 		{http.MethodPost, "/schemas/reload"},
 		{http.MethodGet, "/schema"},
 	} {
-		if resp := do(rt.method, rt.path); !muxNotFound(resp) {
+		if resp, _ := do(rt.method, rt.path); !muxNotFound(resp) {
 			t.Errorf("%s %s: status %d, want the mux's 404 for a retired route", rt.method, rt.path, resp.StatusCode)
 		}
 	}

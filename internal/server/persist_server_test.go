@@ -146,7 +146,7 @@ func TestReadyzLifecycle(t *testing.T) {
 func TestHealthUngatedUnderSaturation(t *testing.T) {
 	sv, ts := newTestSrv(t, uni.New())
 	sv.SetLimits(Limits{MaxConcurrent: 1, MaxQueue: -1})
-	if sv.gate.acquire(context.Background()) != admitOK {
+	if sv.gate.acquire(context.Background()) != nil {
 		t.Fatal("could not occupy the only admission slot")
 	}
 	defer sv.gate.release()

@@ -105,7 +105,7 @@ func TestAdmissionShed429(t *testing.T) {
 	sv, ts := newTestSrv(t, uni.New())
 	// One slot, no queue: with the slot held, the next request sheds.
 	sv.SetLimits(Limits{MaxConcurrent: 1, MaxQueue: -1})
-	if sv.gate.acquire(context.Background()) != admitOK {
+	if sv.gate.acquire(context.Background()) != nil {
 		t.Fatal("could not occupy the only admission slot")
 	}
 	resp, body := post(t, ts.URL+"/v1/complete", `{"expr":"ta~name"}`)
@@ -136,7 +136,7 @@ func TestAdmissionQueueTimeout503(t *testing.T) {
 	// expires, and it is answered 503 (not 429 — it was queued, not
 	// shed).
 	sv.SetLimits(Limits{MaxConcurrent: 1, MaxQueue: 4})
-	if sv.gate.acquire(context.Background()) != admitOK {
+	if sv.gate.acquire(context.Background()) != nil {
 		t.Fatal("could not occupy the only admission slot")
 	}
 	defer sv.gate.release()
@@ -421,6 +421,81 @@ func TestSingleflightOverHTTP(t *testing.T) {
 			t.Errorf("request %d: %d completions, leader had %d",
 				i, len(results[i].Completions), len(results[0].Completions))
 		}
+	}
+}
+
+// TestSingleflightFollowerOfAbortedLeader: the flight key leaves the
+// request's deadline out, and the leader's own context bounds the
+// shared search, so a follower must not inherit the leader's early
+// stop. A leader with a 20 ms budget stops on its deadline; its two
+// followers, which set no timeout, go back through the flight: one
+// leads a new search, the other shares it, and both get every
+// completion.
+func TestSingleflightFollowerOfAbortedLeader(t *testing.T) {
+	sv, ts := newTestSrv(t, slowSchema(t, 4, 7))
+	const expr = "l0w0~label"
+	type answer struct {
+		status int
+		body   string
+	}
+	fetch := func(body string, out chan<- answer) {
+		resp, err := http.Post(ts.URL+"/v1/complete", "application/json", strings.NewReader(body))
+		if err != nil {
+			out <- answer{body: err.Error()}
+			return
+		}
+		out <- answer{resp.StatusCode, readAll(t, resp)}
+	}
+	leader := make(chan answer, 1)
+	go fetch(`{"expr":"`+expr+`","timeoutMs":20}`, leader)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		sv.flights.mu.Lock()
+		inFlight := len(sv.flights.m)
+		sv.flights.mu.Unlock()
+		if inFlight > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("leader flight never registered")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	followers := make(chan answer, 2)
+	go fetch(`{"expr":"`+expr+`"}`, followers)
+	go fetch(`{"expr":"`+expr+`"}`, followers)
+
+	var lead CompleteResponse
+	decodeData(t, (<-leader).body, &lead)
+	if !lead.Aborted || lead.StopReason != string(core.StopDeadline) {
+		t.Fatalf("leader: aborted=%v stopReason=%q, want a deadline stop", lead.Aborted, lead.StopReason)
+	}
+	shared := 0
+	for i := 0; i < 2; i++ {
+		a := <-followers
+		if a.status != http.StatusOK {
+			t.Fatalf("follower: status = %d, want 200: %s", a.status, a.body)
+		}
+		var follower CompleteResponse
+		decodeData(t, a.body, &follower)
+		if follower.Aborted || follower.StopReason != "" {
+			t.Errorf("follower: aborted=%v stopReason=%q, want a full search",
+				follower.Aborted, follower.StopReason)
+		}
+		if want := 4 * 4 * 4 * 4 * 4 * 4; len(follower.Completions) != want {
+			t.Errorf("follower: %d completions, want %d", len(follower.Completions), want)
+		}
+		if follower.Shared {
+			shared++
+		}
+	}
+	if shared != 1 {
+		t.Errorf("%d of 2 followers shared, want 1: one leads the new search, the other shares it", shared)
+	}
+	if got := sv.met.singleflightShared.Value(); got != 1 {
+		t.Errorf("singleflightShared = %d, want 1", got)
+	}
+	if got := sv.met.searches.Value(); got != 2 {
+		t.Errorf("searches = %d, want 2: the leader's and one more for both followers", got)
 	}
 }
 

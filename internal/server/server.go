@@ -277,6 +277,7 @@ func (sv *Server) HandlerWith(cfg HandlerConfig) http.Handler {
 	mux.HandleFunc("GET /v1/traces/{id}", sv.handleTraceByID)
 	mux.HandleFunc("GET /v1/queries/slow", sv.handleSlowQueries)
 	mux.HandleFunc("GET /v1/sessions", sv.handleSessions)
+	mux.Handle("/v1/", sv.v1Unrouted(mux))
 	if cfg.PProf {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -608,6 +609,9 @@ type completed struct {
 	rec    *core.TraceRecorder
 }
 
+// complete parses one completion request, stamps its query attributes
+// on the nearest span and runs a traced request as a fresh search under
+// its own recorder; every other request is resolve's.
 func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req CompleteRequest) (completed, int, error) {
 	if err := faultinject.Inject("server.complete"); err != nil {
 		return completed{}, http.StatusInternalServerError, err
@@ -628,7 +632,6 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	if req.E > 0 {
 		opts.E = req.E
 	}
-	label := sv.met.schemaLabel(sn.Name())
 	key := cacheKey{
 		shard: shardID{schema: sn.Name(), gen: sn.Generation()},
 		expr:  e.String(),
@@ -636,33 +639,37 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	}
 	if req.Trace {
 		// Traced requests always run a fresh search with their own
-		// recorder: no cache lookup, no singleflight.
+		// recorder: no closure, no cache lookup, no singleflight.
 		rec := core.NewTraceRecorder(sn.Schema(), req.TraceLimit)
 		opts.Tracer = rec
 		sv.met.closureFallbacks.Inc()
 		return sv.search(ctx, sn, e, opts, rec, key)
 	}
-	// The materialized all-pairs closure answers the dominant query
-	// shape — a single-gap expression at the server's default options —
-	// before the memo cache is even consulted: the lookup is one map
-	// probe on an immutable index, with no lock and no LRU bookkeeping.
-	if sv.closureEligible(req, opts) {
+	return sv.resolve(ctx, sn, e, opts, key, req.TimeoutMs > 0)
+}
+
+// resolve is the one place that decides how an untraced query is
+// answered: the closure index, then the memo, then singleflight, whose
+// leader runs the kernel (search). Only the dominant shape reaches the
+// closure: a single unannotated gap `root ~ anchor` at the server's
+// default E, from a request that set no timeout (budgeted false).
+func (sv *Server) resolve(ctx context.Context, sn *registry.Snapshot, e pathexpr.Expr, opts core.Options, key cacheKey, budgeted bool) (completed, int, error) {
+	if !budgeted && opts.E == sv.opts.E && len(e.Steps) == 1 && e.Steps[0].Gap &&
+		e.Steps[0].Constraint == "" && e.Steps[0].Pred == "" {
+		// The lookup is one map probe on an immutable index, with no
+		// lock and no LRU bookkeeping, so it goes before the memo.
 		_, cs := obs.StartSpan(ctx, "closure")
-		res, hit, eligible := sv.closureLookup(sn, e)
+		res, hit := sv.closureCell(sn, e.Root, e.Steps[0].Name)
 		cs.SetAttr("hit", hit)
 		cs.End()
-		if eligible {
-			if hit {
-				sv.met.closureHits.Inc()
-				return completed{res: res, expr: e, engine: engineClosure}, http.StatusOK, nil
-			}
-			sv.met.closureMisses.Inc()
-		} else {
-			sv.met.closureFallbacks.Inc()
+		if hit {
+			return completed{res: res, expr: e, engine: engineClosure}, http.StatusOK, nil
 		}
+		sv.met.closureMisses.Inc()
 	} else {
 		sv.met.closureFallbacks.Inc()
 	}
+	label := sv.met.schemaLabel(sn.Name())
 	_, gs := obs.StartSpan(ctx, "cache")
 	sv.mu.Lock()
 	res, ok := sv.cache.get(key)
@@ -683,9 +690,17 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	// The key carries the snapshot generation, so a query admitted
 	// after a reload can never share a pre-reload leader's answer.
 	sfCtx, sf := obs.StartSpan(ctx, "singleflight")
-	c, status, err, shared := sv.flights.do(ctx, key, func() (completed, int, error) {
-		return sv.search(sfCtx, sn, e, opts, nil, key)
-	})
+	run := func() (completed, int, error) { return sv.search(sfCtx, sn, e, opts, nil, key) }
+	c, status, err, shared := sv.flights.do(ctx, key, run)
+	for shared && err == nil && (c.res.StopReason == core.StopDeadline || c.res.StopReason == core.StopCanceled) {
+		// The key leaves the request's deadline out, and the leader's
+		// own context bounded the shared search: a leader that timed
+		// out or lost its client hands back a partial answer this
+		// request never agreed to. Go back through the flight, so its
+		// followers collapse onto one new leader searching under its
+		// own context. (A MaxCalls stop is the same for every request.)
+		c, status, err, shared = sv.flights.do(ctx, key, run)
+	}
 	sf.SetAttr("shared", shared)
 	sf.End()
 	if shared {
@@ -706,24 +721,16 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 // are never cached: a future request with a bigger budget must get a
 // fresh, fuller search.
 //
-// The hot path — no per-request E override, no tracer — runs on the
-// snapshot's long-lived Completer: its built base transition table and
-// pooled engines. Divergent requests build a throwaway Completer with
-// the adjusted options, which builds its own base table on first use.
+// The hot path — no per-request E override, no trace recorder — runs
+// on the snapshot's long-lived Completer: its built base transition
+// table and pooled engines. Divergent requests build a throwaway
+// Completer with the adjusted options, which builds its own base table
+// on first use.
 func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.Expr, opts core.Options, rec *core.TraceRecorder, key cacheKey) (completed, int, error) {
 	start := time.Now()
 	sctx, span := obs.StartSpan(ctx, "search")
-	// A head-sampled trace pays for per-event counts: bridge the kernel's
-	// Tracer hooks into the span via a CountingTracer. Unsampled (tail-
-	// rule-only) and untraced requests keep Options.Tracer nil, so the
-	// kernel's nil-fast-path overhead pin holds on the default path.
-	var ct *core.CountingTracer
-	if span.Sampled() && rec == nil {
-		ct = &core.CountingTracer{}
-		opts.Tracer = ct
-	}
 	cmp := sn.Completer()
-	if rec != nil || ct != nil || opts.E != sv.opts.E {
+	if rec != nil || opts.E != sv.opts.E {
 		cmp = core.New(sn.Schema(), opts)
 	}
 	res, err := cmp.CompleteContext(sctx, e)
@@ -736,12 +743,6 @@ func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.
 	span.SetAttr("calls", res.Stats.Calls)
 	span.SetAttr("offers", res.Stats.Offers)
 	span.SetAttr("pruned", res.Stats.PrunedBestT+res.Stats.PrunedBestU)
-	if ct != nil {
-		span.SetAttr("events.enter", ct.Enters)
-		span.SetAttr("events.prune", ct.Prunes)
-		span.SetAttr("events.offer", ct.Offers)
-		span.SetAttr("events.preempt", ct.Preempts)
-	}
 	span.End()
 	// Exemplar only for head-sampled traces: sampling guarantees
 	// retention, so the /metrics annotation always resolves on
@@ -772,35 +773,61 @@ func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.
 	return completed{res: res, expr: e, engine: engineSearch, rec: rec}, http.StatusOK, nil
 }
 
-// admit runs the admission gate for one search request, answering the
-// shed (429 + Retry-After) and queue-timeout (503) cases itself. On
-// ok the caller must call release exactly once.
-func (sv *Server) admit(w http.ResponseWriter, r *http.Request, ctx context.Context) (release func(), ok bool) {
+// beginSearch is the prologue of every search endpoint: pin the
+// request's snapshot, apply its deadline (see effectiveTimeout) and
+// take one admission slot. It answers its own failures (404, 429 with
+// Retry-After: 1, 503); on ok the caller must call done exactly once.
+func (sv *Server) beginSearch(w http.ResponseWriter, r *http.Request, timeoutMs int) (sn *registry.Snapshot, ctx context.Context, done func(), ok bool) {
+	sn, ok = sv.acquireSnapshot(w, r)
+	if !ok {
+		return nil, nil, nil, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), sv.effectiveTimeout(timeoutMs))
 	_, span := obs.StartSpan(ctx, "admit")
-	outcome := sv.gate.acquire(ctx)
-	if outcome != admitOK {
+	release, err := sv.admit(ctx)
+	if err != nil {
 		span.SetError("not admitted")
+		span.End()
+		cancel()
+		sn.Release()
+		if errors.Is(err, errShed) {
+			w.Header().Set("Retry-After", "1")
+			sv.jsonError(w, r, http.StatusTooManyRequests, CodeOverloaded, err.Error())
+		} else {
+			sv.met.timeouts.Inc()
+			sv.jsonError(w, r, http.StatusServiceUnavailable, CodeDeadline, err.Error())
+		}
+		return nil, nil, nil, false
 	}
 	span.End()
-	switch outcome {
-	case admitOK:
-		sv.met.inflight.Inc()
-		return func() {
-			sv.met.inflight.Dec()
-			sv.gate.release()
-		}, true
-	case admitShed:
-		sv.met.sheds.Inc()
-		w.Header().Set("Retry-After", "1")
-		sv.jsonError(w, r, http.StatusTooManyRequests, CodeOverloaded,
-			"server overloaded: admission queue full")
-		return nil, false
-	default: // admitCanceled
-		sv.met.timeouts.Inc()
-		sv.jsonError(w, r, http.StatusServiceUnavailable, CodeDeadline,
-			"request ended while waiting for an admission slot")
-		return nil, false
+	return sn, ctx, func() {
+		release()
+		cancel()
+		sn.Release()
+	}, true
+}
+
+// serveComplete validates one completion request and answers it with
+// the envelope around view's rendering of the answer. /v1/complete and
+// /v1/explain differ only in how they read the request and in view.
+func (sv *Server) serveComplete(w http.ResponseWriter, r *http.Request, req CompleteRequest, view func(*registry.Snapshot, completed) any) {
+	if err := sv.validateComplete(&req); err != nil {
+		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
 	}
+	sn, ctx, done, ok := sv.beginSearch(w, r, req.TimeoutMs)
+	if !ok {
+		return
+	}
+	defer done()
+	c, status, err := sv.complete(ctx, sn, req)
+	if err != nil {
+		obs.SpanFromContext(r.Context()).SetError(err.Error())
+		sv.jsonError(w, r, status, errCode(status), err.Error())
+		return
+	}
+	obs.SpanFromContext(r.Context()).SetAttr(obs.AttrEngine, c.engine)
+	sv.respond(w, r, http.StatusOK, view(sn, c), completeMeta(sn, c))
 }
 
 // completeResponse renders one completed search as the response body.
@@ -850,34 +877,9 @@ func (sv *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 		sv.jsonError(w, r, decodeStatus(err), CodeBadRequest, "bad request: "+err.Error())
 		return
 	}
-	if err := sv.validateComplete(&req); err != nil {
-		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
-		return
-	}
-	defer release()
-	c, status, err := sv.complete(ctx, sn, req)
-	if err != nil {
-		obs.SpanFromContext(r.Context()).SetError(err.Error())
-		sv.jsonError(w, r, status, errCode(status), err.Error())
-		return
-	}
-	obs.SpanFromContext(r.Context()).SetAttr(obs.AttrEngine, c.engine)
-	sv.respond(w, r, http.StatusOK, sv.completeResponse(sn, c), completeMeta(sn, c))
+	sv.serveComplete(w, r, req, func(sn *registry.Snapshot, c completed) any {
+		return sv.completeResponse(sn, c)
+	})
 }
 
 // BatchRequest is the body of POST /v1/completeBatch: a set of completion
@@ -928,35 +930,21 @@ func (sv *Server) handleCompleteBatch(w http.ResponseWriter, r *http.Request) {
 		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, "timeoutMs must be non-negative")
 		return
 	}
-	sn, ok := sv.acquireSnapshot(w, r)
-	if !ok {
-		return
-	}
-	defer sn.Release()
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
 	// One admission slot covers the whole batch: a batch is one unit of
 	// client work, and charging per element would let small batches
 	// starve interactive queries.
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
+	sn, ctx, done, ok := sv.beginSearch(w, r, req.TimeoutMs)
+	if !ok {
 		return
 	}
-	defer release()
+	defer done()
 
 	out := BatchResponse{
 		Schema:     sn.Name(),
 		Generation: sn.Generation(),
 		Results:    make([]BatchItem, len(req.Queries)),
 	}
-	workers := batchWorkers
-	if workers > len(req.Queries) {
-		workers = len(req.Queries)
-	}
+	workers := min(batchWorkers, len(req.Queries))
 	bctx, bspan := obs.StartSpan(ctx, "fanout")
 	bspan.SetAttr("queries", len(req.Queries))
 	bspan.SetAttr("workers", workers)
@@ -996,15 +984,12 @@ func (sv *Server) batchOne(ctx context.Context, sn *registry.Snapshot, q Complet
 	// it (distinct spans of one trace may run concurrently).
 	ctx, span := obs.StartSpan(ctx, "batch.item")
 	defer span.End()
-	qctx := ctx
 	if q.TimeoutMs > 0 {
-		if d := sv.effectiveTimeout(q.TimeoutMs); d > 0 {
-			var cancel context.CancelFunc
-			qctx, cancel = context.WithTimeout(ctx, d)
-			defer cancel()
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, sv.effectiveTimeout(q.TimeoutMs))
+		defer cancel()
 	}
-	c, _, err := sv.complete(qctx, sn, q)
+	c, _, err := sv.complete(ctx, sn, q)
 	if err != nil {
 		span.SetError(err.Error())
 		return BatchItem{Error: err.Error()}
@@ -1032,26 +1017,15 @@ func (sv *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		sv.jsonError(w, r, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	sn, ok := sv.acquireSnapshot(w, r)
+	sn, ctx, done, ok := sv.beginSearch(w, r, req.TimeoutMs)
 	if !ok {
 		return
 	}
-	defer sn.Release()
+	defer done()
 	if sn.Store() == nil {
 		sv.jsonError(w, r, http.StatusNotFound, CodeNotFound, "no object store mounted for schema "+sn.Name())
 		return
 	}
-	ctx := r.Context()
-	if d := sv.effectiveTimeout(req.TimeoutMs); d > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, d)
-		defer cancel()
-	}
-	release, admitted := sv.admit(w, r, ctx)
-	if !admitted {
-		return
-	}
-	defer release()
 	if err := faultinject.Inject("server.evaluate"); err != nil {
 		sv.jsonError(w, r, http.StatusInternalServerError, CodeInternal, err.Error())
 		return

@@ -2,21 +2,17 @@ package server
 
 // Interactive keystroke sessions: GET /v1/sessions upgrades to a
 // WebSocket and hands the connection to internal/session. The server
-// layer contributes what a session cannot know on its own — the
-// admission gate (each keystroke search takes a regular slot, so a
-// thousand typists cannot starve the REST surface), the materialized
-// closure index as a frontier cell source, the span pipeline, the
-// session-count cap, and metric folding.
+// layer contributes what a session cannot know on its own — admission
+// (each keystroke search takes a regular slot through admit, so a
+// thousand typists cannot starve the REST surface), closureCell as the
+// frontier cell source, the span pipeline, the session-count cap, and
+// metric folding.
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
-	"pathcomplete/internal/core"
 	"pathcomplete/internal/obs"
-	"pathcomplete/internal/registry"
 	"pathcomplete/internal/session"
 	"pathcomplete/internal/ws"
 )
@@ -80,51 +76,12 @@ func (sv *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		Schema:     schemaName,
 		Debounce:   sv.lim.SessionDebounce,
 		MaxExprLen: sv.lim.MaxExprLen,
-		Admit:      sv.sessionAdmit,
-		CellSource: sv.sessionCellSource,
+		Admit:      sv.admit,
+		CellSource: sv.closureCell,
 		Trace:      sv.traceP,
 		OnEvent:    sv.sessionEvent,
 		Logger:     sv.logger,
 	})
-}
-
-// sessionAdmit gates one keystroke search through the same semaphore
-// as the REST search endpoints, with the same metric accounting.
-func (sv *Server) sessionAdmit(ctx context.Context) (func(), error) {
-	switch sv.gate.acquire(ctx) {
-	case admitOK:
-		sv.met.inflight.Inc()
-		return func() {
-			sv.met.inflight.Dec()
-			sv.gate.release()
-		}, nil
-	case admitShed:
-		sv.met.sheds.Inc()
-		return nil, errors.New("server overloaded: admission queue full")
-	default: // admitCanceled
-		sv.met.timeouts.Inc()
-		return nil, errors.New("search ended while waiting for an admission slot")
-	}
-}
-
-// sessionCellSource serves frontier cells from the snapshot's
-// materialized all-pairs closure: the same immutable index the REST
-// hot path probes, so a session's cold anchors cost one map lookup
-// when the index is ready.
-func (sv *Server) sessionCellSource(sn *registry.Snapshot, root, anchor string) (*core.Result, bool) {
-	ix := sn.Closure().Index()
-	if ix == nil {
-		return nil, false
-	}
-	rc, ok := sn.Schema().ClassByName(root)
-	if !ok {
-		return nil, false
-	}
-	res, hit := ix.Lookup(rc.ID, anchor)
-	if hit {
-		sv.met.closureHits.Inc()
-	}
-	return res, hit
 }
 
 // sessionEvent folds session happenings into the metrics.

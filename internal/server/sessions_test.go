@@ -7,6 +7,7 @@ package server
 // sessions racing reloads and injected session faults).
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -102,6 +103,66 @@ func TestSessionKeystrokesOverServer(t *testing.T) {
 	}
 	if got := sv.met.sessionFinals.Value(); got != 3 {
 		t.Errorf("sessionFinals = %d, want 3", got)
+	}
+}
+
+// TestSessionSupersededWhileQueued: a keystroke that waits for an
+// admission slot when a newer keystroke arrives is answered skipped,
+// not overloaded, and counts no request timeout: the newer one owns
+// the answer, and gets it once the slot frees.
+func TestSessionSupersededWhileQueued(t *testing.T) {
+	sv := New(uni.New(), nil, core.Exact())
+	sv.SetLimits(Limits{MaxConcurrent: 1, SessionDebounce: -1})
+	ts := httptest.NewServer(sv.Handler())
+	defer ts.Close()
+	if sv.gate.acquire(context.Background()) != nil {
+		t.Fatal("could not occupy the only admission slot")
+	}
+	held := true
+	defer func() {
+		if held {
+			sv.gate.release()
+		}
+	}()
+
+	c, err := sessiontest.Dial(sessionURL(ts), 10*time.Second)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	first, err := c.Send("ta~name")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); sv.gate.queued() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the first keystroke never queued for a slot")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	second, err := c.Send("ta~course")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exs, err := c.Collect(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := exs[first]; !ex.Skipped {
+		t.Errorf("superseded queued keystroke: skipped=%v error=%+v, want skipped", ex.Skipped, ex.Err)
+	}
+	sv.gate.release()
+	held = false
+	exs, err = c.Collect(second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex := exs[second]; ex.Final == nil || len(ex.Final.Completions) == 0 {
+		t.Errorf("newer keystroke: final=%+v error=%+v, want its completions", ex.Final, ex.Err)
+	}
+	// No deadline passed: the supersession is no request timeout.
+	if got := sv.met.timeouts.Value(); got != 0 {
+		t.Errorf("timeouts = %d, want 0", got)
 	}
 }
 

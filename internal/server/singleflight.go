@@ -9,9 +9,11 @@ package server
 // The implementation is a minimal stdlib-only analogue of
 // golang.org/x/sync/singleflight, specialized to the completion key.
 //
-// The leader runs under its own request context, so its deadline
-// governs the shared search; followers that time out or disconnect
-// while waiting abandon the flight individually.
+// The leader runs under its own request context, but the key leaves the
+// deadline out, so resolve does not hand on a leader's early stop: the
+// followers of a leader whose deadline or disconnect cut its search
+// short go back through the flight and collapse onto one new leader.
+// Those that time out or disconnect while waiting abandon the flight.
 
 import (
 	"context"

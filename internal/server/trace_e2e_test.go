@@ -138,10 +138,9 @@ func TestTraceEndToEnd(t *testing.T) {
 			if _, ok := s.Attrs["calls"]; !ok {
 				t.Errorf("search span missing kernel stats: %+v", s.Attrs)
 			}
-			// Head-sampled searches bridge the kernel Tracer into
-			// per-event counts.
-			if v, ok := s.Attrs["events.enter"].(float64); !ok || v <= 0 {
-				t.Errorf("search span events.enter = %v", s.Attrs["events.enter"])
+			// The search span carries the kernel's own counts.
+			if v, ok := s.Attrs["calls"].(float64); !ok || v <= 0 {
+				t.Errorf("search span calls = %v", s.Attrs["calls"])
 			}
 		}
 	}

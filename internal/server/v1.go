@@ -11,7 +11,8 @@ package server
 // unknown_schema, not_found, deadline, overloaded, internal. respond
 // and jsonError are its only writers, and every error the server
 // answers — 429 sheds and recovered panics included, on any route —
-// goes through jsonError.
+// goes through jsonError, as do a wrong method or an unknown path
+// under /v1 (v1Unrouted).
 
 import (
 	"context"
@@ -97,6 +98,32 @@ type Envelope struct {
 	Data  any       `json:"data"`
 	Error *APIError `json:"error"`
 	Meta  *Meta     `json:"meta"`
+}
+
+// noV1Route begins the message of v1Unrouted's 404, which tells an
+// unmounted /v1 path from a handler's own not_found.
+const noV1Route = "no /v1 route at "
+
+// v1Unrouted answers, in the envelope, each /v1 request no route of mux
+// takes (the mux alone answers text/plain): 405 with the Allow header
+// when other methods are mounted at the path, 404 otherwise.
+func (sv *Server) v1Unrouted(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, m := range []string{"DELETE", "GET", "HEAD", "OPTIONS", "PATCH", "POST", "PUT"} {
+			probe := *r
+			probe.Method = m
+			if _, pattern := mux.Handler(&probe); pattern != "" && pattern != "/v1/" {
+				allow = append(allow, m)
+			}
+		}
+		if allow == nil {
+			sv.jsonError(w, r, http.StatusNotFound, CodeNotFound, noV1Route+r.URL.Path)
+			return
+		}
+		w.Header().Set("Allow", strings.Join(allow, ", "))
+		sv.jsonError(w, r, http.StatusMethodNotAllowed, CodeBadRequest, r.Method+" is not allowed on "+r.URL.Path)
+	})
 }
 
 // errCode maps a failure status of Server.complete to its v1 error

@@ -247,7 +247,7 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 	})
 	t.Run("overloaded", func(t *testing.T) {
 		sv.SetLimits(Limits{MaxConcurrent: 1, MaxQueue: -1})
-		if sv.gate.acquire(context.Background()) != admitOK {
+		if sv.gate.acquire(context.Background()) != nil {
 			t.Fatal("could not occupy the only admission slot")
 		}
 		defer sv.gate.release()
@@ -257,6 +257,34 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 			t.Errorf("Retry-After = %q", resp.Header.Get("Retry-After"))
 		}
 	})
+	// Routing errors under /v1 answer the envelope too: a wrong method
+	// on a mounted route is 405 with its Allow header, an unmounted
+	// path 404.
+	for _, rt := range []struct {
+		method, path string
+		status       int
+		code, allow  string
+	}{
+		{http.MethodGet, "/v1/complete", http.StatusMethodNotAllowed, CodeBadRequest, "POST"},
+		{http.MethodDelete, "/v1/schemas", http.StatusMethodNotAllowed, CodeBadRequest, "GET, HEAD"},
+		{http.MethodPost, "/v1/traces", http.StatusMethodNotAllowed, CodeBadRequest, "GET, HEAD"},
+		{http.MethodGet, "/v1/nope", http.StatusNotFound, CodeNotFound, ""},
+	} {
+		t.Run(rt.code+"/routing "+rt.method+" "+rt.path, func(t *testing.T) {
+			req, err := http.NewRequest(rt.method, ts.URL+rt.path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, readAll(t, resp), resp.StatusCode, rt.status, rt.code)
+			if got := resp.Header.Get("Allow"); got != rt.allow {
+				t.Errorf("Allow = %q, want %q", got, rt.allow)
+			}
+		})
+	}
 }
 
 // readAll drains a response body into a string.

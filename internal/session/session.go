@@ -47,7 +47,8 @@ type Config struct {
 	MaxExprLen int
 	// Admit gates each search through the server's admission control;
 	// nil admits everything. The returned release must be called when
-	// the search ends.
+	// the search ends. An error answers the update overloaded, or
+	// skipped when a newer update superseded it while it waited.
 	Admit func(ctx context.Context) (release func(), err error)
 	// CellSource supplies precomputed frontier cells (the closure
 	// index) for single-gap expressions on the given snapshot; nil
@@ -328,6 +329,12 @@ func (s *session) handleUpdate(ctx, sctx context.Context, f ClientFrame) {
 	if s.cfg.Admit != nil {
 		release, err := s.cfg.Admit(sctx)
 		if err != nil {
+			if sctx.Err() != nil {
+				// Superseded while it waited for a slot (or the session
+				// is closing): the newer keystroke owns the answer.
+				s.sendSkipped(f.Seq)
+				return
+			}
 			errMsg = err.Error()
 			s.sendError(f.Seq, &protoError{code: CodeOverloaded, msg: err.Error()})
 			return
