@@ -11,11 +11,7 @@ package pathcomplete_test
 
 import (
 	"context"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
@@ -28,7 +24,6 @@ import (
 	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/persist"
 	"pathcomplete/internal/schema"
-	"pathcomplete/internal/server"
 	"pathcomplete/internal/uni"
 )
 
@@ -505,43 +500,6 @@ func BenchmarkColdstart(b *testing.B) {
 			if got.Cells() != ix.Cells() {
 				b.Fatalf("restored %d cells, built %d", got.Cells(), ix.Cells())
 			}
-		}
-	})
-}
-
-// BenchmarkServerComplete measures the HTTP front end through
-// /v1/complete: a cold completion (fresh server per iteration set,
-// first request computes) versus the memoized hot path an interactive
-// loop sees.
-func BenchmarkServerComplete(b *testing.B) {
-	body := `{"expr":"ta~name"}`
-	post := func(b *testing.B, base string) {
-		resp, err := http.Post(base+"/v1/complete", "application/json", strings.NewReader(body))
-		if err != nil {
-			b.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("POST /v1/complete: status %d", resp.StatusCode)
-		}
-	}
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sv := server.New(uni.New(), nil, core.Exact())
-			ts := httptest.NewServer(sv.Handler())
-			post(b, ts.URL)
-			ts.Close()
-		}
-	})
-	b.Run("hot", func(b *testing.B) {
-		sv := server.New(uni.New(), nil, core.Exact())
-		ts := httptest.NewServer(sv.Handler())
-		defer ts.Close()
-		post(b, ts.URL) // warm the cache
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			post(b, ts.URL)
 		}
 	})
 }

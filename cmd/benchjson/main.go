@@ -6,9 +6,11 @@
 // Each benchmark line becomes one record with the standard metrics
 // (ns/op, B/op, allocs/op) plus any custom b.ReportMetric columns
 // (e.g. the figure benches' recall/precision/answers). Non-benchmark
-// lines are ignored, so the tool can be fed the raw `go test` stream.
-// The JSON carries enough context (goos/goarch/pkg/cpu when present)
-// to compare runs across machines.
+// lines are ignored, so the tool can be fed the raw `go test` stream,
+// several runs concatenated included: each record carries the package
+// of the `pkg:` header in force when its line was read. The JSON
+// carries enough context (goos/goarch/cpu when present) to compare
+// runs across machines.
 package main
 
 import (
@@ -23,6 +25,7 @@ import (
 // record is one benchmark result row.
 type record struct {
 	Name    string             `json:"name"`
+	Pkg     string             `json:"pkg,omitempty"`
 	Runs    int64              `json:"runs"`
 	NsPerOp float64            `json:"ns_per_op,omitempty"`
 	BPerOp  float64            `json:"bytes_per_op,omitempty"`
@@ -34,7 +37,6 @@ type record struct {
 type document struct {
 	Goos    string   `json:"goos,omitempty"`
 	Goarch  string   `json:"goarch,omitempty"`
-	Pkg     string   `json:"pkg,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
 	Results []record `json:"results"`
 }
@@ -59,6 +61,7 @@ func main() {
 func parse(sc *bufio.Scanner) (*document, error) {
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	doc := &document{}
+	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -67,12 +70,13 @@ func parse(sc *bufio.Scanner) (*document, error) {
 		case strings.HasPrefix(line, "goarch:"):
 			doc.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			r, ok := parseBench(line)
 			if ok {
+				r.Pkg = pkg
 				doc.Results = append(doc.Results, r)
 			}
 		}

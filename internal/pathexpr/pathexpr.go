@@ -64,6 +64,13 @@ type Step struct {
 // "~(advisor.*)~name", or "~course[credits > 3]".
 func (st Step) String() string {
 	var sb strings.Builder
+	st.write(&sb)
+	return sb.String()
+}
+
+// write appends the step's query syntax to sb: Step.String and
+// Expr.String share it, so an expression renders into one builder.
+func (st Step) write(sb *strings.Builder) {
 	if st.Gap {
 		sb.WriteByte('~')
 		if st.Constraint != "" {
@@ -80,7 +87,6 @@ func (st Step) String() string {
 		sb.WriteString(st.Pred)
 		sb.WriteByte(']')
 	}
-	return sb.String()
 }
 
 // Constrained reports whether the expression carries any gap
@@ -129,7 +135,7 @@ func (e Expr) String() string {
 	var sb strings.Builder
 	sb.WriteString(e.Root)
 	for _, st := range e.Steps {
-		sb.WriteString(st.String())
+		st.write(&sb)
 	}
 	return sb.String()
 }
@@ -432,13 +438,25 @@ func (r *Resolved) Expr() Expr {
 	return e
 }
 
-// String renders the resolved expression in query syntax.
-func (r *Resolved) String() string { return r.Expr().String() }
+// String renders the resolved expression in query syntax, the same
+// text as r.Expr().String(): the root and each relationship go
+// straight from the schema into one builder of exactly StringLen
+// bytes, one allocation per path.
+func (r *Resolved) String() string {
+	var sb strings.Builder
+	sb.Grow(r.StringLen())
+	sb.WriteString(r.Schema.Class(r.Root).Name)
+	for _, rid := range r.Rels {
+		rel := r.Schema.Rel(rid)
+		sb.WriteString(rel.Conn.String())
+		sb.WriteString(rel.Name)
+	}
+	return sb.String()
+}
 
-// StringLen returns len(r.String()) without materializing the Expr or
-// the string. The closure byte estimator prices every cell by its
-// rendered length; computed via String itself that pricing pass
-// allocates two strings per completion and dominates a large restore.
+// StringLen returns len(r.String()) without building the string. The
+// closure and memo byte estimators price every completion by its
+// rendered length.
 func (r *Resolved) StringLen() int {
 	n := len(r.Schema.Class(r.Root).Name)
 	for _, rid := range r.Rels {

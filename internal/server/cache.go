@@ -64,15 +64,15 @@ type cacheEntry struct {
 }
 
 // resultBytes estimates the resident size of a cached result: the
-// strings it will render plus fixed per-completion overhead. The
-// estimate only needs to be proportional, not exact — the budget is a
-// safety bound.
+// length of the paths it will render (priced, not rendered) plus fixed
+// per-completion overhead. The estimate only needs to be proportional,
+// not exact — the budget is a safety bound.
 func resultBytes(res *core.Result) int64 {
 	const base = 256          // Result + slice headers + list/map bookkeeping
 	const perCompletion = 128 // Resolved + label + slice headers
 	size := int64(base) + int64(len(res.Best))*24
 	for _, c := range res.Completions {
-		size += perCompletion + int64(len(c.Path.String()))
+		size += perCompletion + int64(c.Path.StringLen())
 	}
 	return size
 }

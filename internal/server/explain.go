@@ -125,11 +125,11 @@ func (sv *Server) explainResponse(sn *registry.Snapshot, c completed) ExplainRes
 	s := sn.Schema()
 	res := c.res
 	out := ExplainResponse{
-		Expr:        c.expr.String(),
+		Expr:        c.text,
 		Schema:      sn.Name(),
 		Generation:  sn.Generation(),
 		Engine:      c.engine,
-		Constrained: exprConstrained(c.expr),
+		Constrained: c.expr.Constrained(),
 		Completions: make([]ExplainCompletionJSON, 0, len(res.Completions)),
 		Truncated:   res.Truncated,
 		Aborted:     res.Aborted,

@@ -8,10 +8,12 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -536,7 +538,9 @@ func TestCacheMissAccounting(t *testing.T) {
 }
 
 // TestWriteJSONEncodeFailure pins the satellite fix: an unencodable
-// response body is counted and logged, not silently dropped.
+// response body is counted and logged, not silently dropped. The body
+// is encoded before the status goes out, so the client gets a 500
+// internal envelope, not a 200 with an empty body.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	var logBuf bytes.Buffer
 	sv := New(uni.New(), nil, core.Exact())
@@ -548,8 +552,23 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 	if got := sv.met.encodeFailures.Value(); got != 1 {
 		t.Errorf("encodeFailures = %d, want 1", got)
 	}
-	if logged := logBuf.String(); !strings.Contains(logged, "response encode failed") {
-		t.Errorf("encode failure not logged:\n%s", logged)
+	if n := strings.Count(logBuf.String(), "response encode failed"); n != 1 {
+		t.Errorf("encode failure logged %d times, want 1:\n%s", n, logBuf.String())
+	}
+	if w.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", w.Code)
+	}
+	var env Envelope
+	if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil {
+		t.Fatalf("500 body is not an envelope: %v\n%s", err, w.Body.String())
+	}
+	if env.Data != nil || env.Error == nil || env.Error.Code != CodeInternal ||
+		env.Meta == nil || env.Meta.ApiVersion != APIVersion {
+		t.Errorf("500 envelope = %s, want data null, error code %q, meta.apiVersion %q",
+			w.Body.String(), CodeInternal, APIVersion)
+	}
+	if cl := w.Header().Get("Content-Length"); cl != strconv.Itoa(w.Body.Len()) {
+		t.Errorf("Content-Length = %q, body is %d bytes", cl, w.Body.Len())
 	}
 
 	// The healthy path does not count.

@@ -57,6 +57,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -66,6 +67,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -598,8 +600,12 @@ type CompleteResponse struct {
 
 // completed bundles what handleComplete needs from one completion.
 type completed struct {
-	res    *core.Result
-	expr   pathexpr.Expr
+	res  *core.Result
+	expr pathexpr.Expr
+	// text is expr's canonical rendering, made once per request
+	// (cacheKey.expr): the memo and flight key, the span attribute and
+	// data.expr all use it.
+	text   string
 	cached bool
 	shared bool
 	// engine identifies the subsystem that produced res: "closure" for
@@ -620,11 +626,12 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	if err != nil {
 		return completed{}, http.StatusBadRequest, err
 	}
+	text := e.String()
 	// Stamp the query attributes on the nearest span (the request root,
 	// or the per-item span of a batch): these are what the slow-query
 	// log keys its entries on.
 	if s := obs.SpanFromContext(ctx); s != nil {
-		s.SetAttr(obs.AttrExpr, e.String())
+		s.SetAttr(obs.AttrExpr, text)
 		s.SetAttr(obs.AttrShape, exprShape(e))
 		s.SetAttr(obs.AttrSchema, sn.Name())
 	}
@@ -634,7 +641,7 @@ func (sv *Server) complete(ctx context.Context, sn *registry.Snapshot, req Compl
 	}
 	key := cacheKey{
 		shard: shardID{schema: sn.Name(), gen: sn.Generation()},
-		expr:  e.String(),
+		expr:  text,
 		e:     opts.E,
 	}
 	if req.Trace {
@@ -663,7 +670,7 @@ func (sv *Server) resolve(ctx context.Context, sn *registry.Snapshot, e pathexpr
 		cs.SetAttr("hit", hit)
 		cs.End()
 		if hit {
-			return completed{res: res, expr: e, engine: engineClosure}, http.StatusOK, nil
+			return completed{res: res, expr: e, text: key.expr, engine: engineClosure}, http.StatusOK, nil
 		}
 		sv.met.closureMisses.Inc()
 	} else {
@@ -679,7 +686,7 @@ func (sv *Server) resolve(ctx context.Context, sn *registry.Snapshot, e pathexpr
 	if ok {
 		sv.met.cacheHits.Inc()
 		sv.met.schemaCacheHits.With(label).Inc()
-		return completed{res: res, expr: e, cached: true, engine: engineSearch}, http.StatusOK, nil
+		return completed{res: res, expr: e, text: key.expr, cached: true, engine: engineSearch}, http.StatusOK, nil
 	}
 	// Only a real failed lookup counts as a miss (traced requests
 	// never look the cache up at all).
@@ -770,7 +777,7 @@ func (sv *Server) search(ctx context.Context, sn *registry.Snapshot, e pathexpr.
 		sv.met.cacheSize.Set(int64(size))
 		sv.met.cacheBytes.Set(bytes)
 	}
-	return completed{res: res, expr: e, engine: engineSearch, rec: rec}, http.StatusOK, nil
+	return completed{res: res, expr: e, text: key.expr, engine: engineSearch, rec: rec}, http.StatusOK, nil
 }
 
 // beginSearch is the prologue of every search endpoint: pin the
@@ -834,7 +841,7 @@ func (sv *Server) serveComplete(w http.ResponseWriter, r *http.Request, req Comp
 func (sv *Server) completeResponse(sn *registry.Snapshot, c completed) CompleteResponse {
 	res := c.res
 	out := CompleteResponse{
-		Expr:       c.expr.String(),
+		Expr:       c.text,
 		Schema:     sn.Name(),
 		Generation: sn.Generation(),
 		Calls:      res.Stats.Calls,
@@ -861,12 +868,15 @@ func (sv *Server) completeResponse(sn *registry.Snapshot, c completed) CompleteR
 		}
 		out.TraceDropped = c.rec.Dropped
 	}
-	for _, cc := range res.Completions {
-		out.Completions = append(out.Completions, CompletionJSON{
+	if len(res.Completions) > 0 {
+		out.Completions = make([]CompletionJSON, len(res.Completions))
+	}
+	for i, cc := range res.Completions {
+		out.Completions[i] = CompletionJSON{
 			Path:   cc.Path.String(),
 			Conn:   cc.Label.Conn().String(),
 			SemLen: cc.Label.SemLen(),
-		})
+		}
 	}
 	return out
 }
@@ -1112,23 +1122,68 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeJSON writes v as the response body. Encode failures (a type
-// that cannot marshal, or a client that went away mid-write) are not
-// silently dropped: they are counted and logged with the request ID.
+// pooledBody is a response buffer and the encoder bound to it: compact
+// (no indent) and not HTML-escaped, so a path such as a$>b goes out as
+// written.
+type pooledBody struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var bodyPool = sync.Pool{New: func() any {
+	b := new(pooledBody)
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetEscapeHTML(false)
+	return b
+}}
+
+// maxPooledBody bounds the buffers returned to bodyPool, so one large
+// answer does not stay resident behind every later small one.
+const maxPooledBody = 64 << 10
+
+// writeJSON writes v as the response body: encoded whole into a pooled
+// buffer, then sent with its Content-Length in one write. The body is
+// complete before the status line goes out, so a value that cannot be
+// encoded answers a 500 internal envelope instead of a 200 with an
+// empty body; the failure is counted and logged with the request ID.
+// So is a client that went away mid-write.
 func (sv *Server) writeJSON(w http.ResponseWriter, r *http.Request, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		sv.met.encodeFailures.Inc()
-		if sv.logger != nil {
-			sv.logger.LogAttrs(r.Context(), slog.LevelError, "response encode failed",
-				slog.String("id", w.Header().Get(obs.RequestIDHeader)),
-				slog.String("path", r.URL.Path),
-				slog.Int("status", status),
-				slog.String("error", err.Error()),
-			)
+	b := bodyPool.Get().(*pooledBody)
+	defer func() {
+		if b.buf.Cap() <= maxPooledBody {
+			b.buf.Reset()
+			bodyPool.Put(b)
 		}
+	}()
+	if err := b.enc.Encode(v); err != nil {
+		sv.encodeFailed(w, r, status, "response encode failed", err)
+		// Written here rather than through jsonError, which would call
+		// writeJSON again.
+		b.buf.Reset()
+		status = http.StatusInternalServerError
+		_ = b.enc.Encode(Envelope{ // an envelope of plain fields always encodes
+			Error: &APIError{Code: CodeInternal, Message: "internal error: response encode failed"},
+			Meta:  stampMeta(r, &Meta{}),
+		})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(b.buf.Len()))
+	w.WriteHeader(status)
+	if _, err := w.Write(b.buf.Bytes()); err != nil {
+		sv.encodeFailed(w, r, status, "response write failed", err)
+	}
+}
+
+// encodeFailed counts and logs one body that did not reach the client.
+func (sv *Server) encodeFailed(w http.ResponseWriter, r *http.Request, status int, msg string, err error) {
+	sv.met.encodeFailures.Inc()
+	if sv.logger != nil {
+		sv.logger.LogAttrs(r.Context(), slog.LevelError, msg,
+			slog.String("id", w.Header().Get(obs.RequestIDHeader)),
+			slog.String("path", r.URL.Path),
+			slog.Int("status", status),
+			slog.String("error", err.Error()),
+		)
 	}
 }

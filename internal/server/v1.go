@@ -23,7 +23,6 @@ import (
 
 	"pathcomplete/internal/closure"
 	"pathcomplete/internal/obs"
-	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/registry"
 	"pathcomplete/internal/sdl"
 )
@@ -196,19 +195,8 @@ func completeMeta(sn *registry.Snapshot, c completed) *Meta {
 		Generation:  sn.Generation(),
 		Engine:      c.engine,
 		CacheHit:    c.cached,
-		Constrained: exprConstrained(c.expr),
+		Constrained: c.expr.Constrained(),
 	}
-}
-
-// exprConstrained reports whether the expression carries any gap regex
-// constraint or pushed-down predicate.
-func exprConstrained(e pathexpr.Expr) bool {
-	for _, st := range e.Steps {
-		if st.Constraint != "" || st.Pred != "" {
-			return true
-		}
-	}
-	return false
 }
 
 // SchemaDetailJSON is the data payload of GET /v1/schemas/{name}: the
