@@ -10,8 +10,9 @@
 // exact kernel dispatch the serving path uses (caution sets and the
 // Inheritance Semantics Criterion included), so a materialized Result
 // is bit-for-bit what the online search would have returned. The
-// differential suite in this package locks that equality over the same
-// generator corpus as core/oracle_test.go.
+// differential harness of internal/core (harness_test.go) locks that
+// equality, for the built index and its durable copy, under the exact,
+// paper and safe presets.
 //
 // Lifecycle: an Index is built once per schema snapshot — typically in
 // the background by a Builder after a registry reload — and is

@@ -1,19 +1,15 @@
 package closure_test
 
-// The differential suite promised by the package doc: every cell of a
-// materialized Index must be bit-for-bit the Result the online kernel
-// returns for the same `root ~ anchor` query — answers, order, labels,
-// best set, flags — across the same cupid generator corpus shapes the
-// core oracle suite sweeps, with E, preemption and specificity varied
-// per schema. Plus unit coverage of the byte
-// Budget and the Builder/Handle lifecycle (ready, budget-exhausted,
-// cancel-mid-build, cancel-after-ready, the Disabled helper, and the
-// observer contract).
+// Unit coverage of the byte Budget and the Builder/Handle lifecycle
+// (ready, budget-exhausted, cancel-mid-build, cancel-after-ready, the
+// Disabled helper, and the observer contract). That every cell of a
+// built Index is bit-for-bit the kernel's one-shot Result is proven by
+// the differential harness of internal/core (harness_test.go), under
+// the exact, paper and safe presets.
 
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -21,15 +17,8 @@ import (
 	"pathcomplete/internal/closure"
 	"pathcomplete/internal/core"
 	"pathcomplete/internal/cupid"
-	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/schema"
 )
-
-// diffSchemas is the number of generated schemas the differential
-// sweep covers. Each schema is checked over its FULL anchor × root
-// grid (unlike the core oracle suite's sampled query mix), so the
-// corpus is kept smaller and the class range tighter.
-const diffSchemas = 40
 
 // diffConfig derives a generator config: sizes cycle 3..24 classes so
 // a full all-pairs grid stays cheap.
@@ -75,69 +64,6 @@ func view(r *core.Result) cellView {
 		Best:        best,
 		Truncated:   r.Truncated,
 		Aborted:     r.Aborted,
-	}
-}
-
-// TestClosureOracleEquivalence: for every generated schema, Build the
-// full Index and require every Lookup to agree exactly with a fresh
-// online Complete of the same query under the same options.
-func TestClosureOracleEquivalence(t *testing.T) {
-	n := int64(diffSchemas)
-	if testing.Short() {
-		n = 10
-	}
-	for i := int64(0); i < n; i++ {
-		cfg := diffConfig(i)
-		w, err := cupid.Generate(cfg)
-		if err != nil {
-			t.Fatalf("schema %d: Generate(%+v): %v", i, cfg, err)
-		}
-		s := w.Schema
-
-		opts := core.Exact()
-		opts.E = 1 + int(i)%3
-		opts.NoPreemption = i%2 == 0
-		opts.PreferSpecific = i%5 == 0
-		cmp := core.New(s, opts)
-
-		ix, err := closure.Build(context.Background(), "diff", uint64(i), cmp, nil)
-		if err != nil {
-			t.Fatalf("schema %d: Build: %v", i, err)
-		}
-		anchors := core.GapAnchors(s)
-		if ix.Anchors() != len(anchors) {
-			t.Errorf("schema %d: Anchors() = %d, want %d", i, ix.Anchors(), len(anchors))
-		}
-		if ix.Bytes() <= 0 || ix.Cells() <= 0 {
-			t.Errorf("schema %d: empty accounting: bytes=%d cells=%d", i, ix.Bytes(), ix.Cells())
-		}
-
-		for _, anchor := range anchors {
-			for _, c := range s.Classes() {
-				e := pathexpr.Expr{Root: c.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-				got, hit := ix.Lookup(c.ID, anchor)
-				if c.Primitive {
-					if hit {
-						t.Errorf("schema %d: Lookup(%s~%s): cell materialized for primitive root", i, c.Name, anchor)
-					}
-					continue
-				}
-				want, err := cmp.Complete(e)
-				if err != nil {
-					t.Errorf("schema %d: Complete(%s~%s): %v", i, c.Name, anchor, err)
-					continue
-				}
-				if !hit {
-					t.Errorf("schema %d: Lookup(%s~%s): missing cell (online answer has %d completions)",
-						i, c.Name, anchor, len(want.Completions))
-					continue
-				}
-				if gv, wv := view(got), view(want); !reflect.DeepEqual(gv, wv) {
-					t.Errorf("schema %d (classes=%d, opts=%+v) %s~%s: closure cell diverges from kernel:\nclosure: %+v\nkernel:  %+v",
-						i, cfg.Classes, opts, c.Name, anchor, gv, wv)
-				}
-			}
-		}
 	}
 }
 

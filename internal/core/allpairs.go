@@ -17,8 +17,8 @@ package core
 // exact same dispatch the serving path uses (search, the compiled
 // kernel), so a materialized cell is bit-for-bit the
 // Result an online query would have computed, caution sets and the
-// Inheritance Semantics Criterion included. The differential suite in
-// internal/closure locks that equality over the oracle corpus.
+// Inheritance Semantics Criterion included. The closure adapter of the
+// differential harness (harness_test.go) locks that equality.
 
 import (
 	"context"

@@ -7,19 +7,14 @@ import (
 	"pathcomplete/internal/pathexpr"
 )
 
-// CompleteBatch completes several expressions concurrently. The
-// Completer is immutable, so the searches are independent; workers
+// CompleteBatchContext completes several expressions concurrently.
+// The Completer is immutable, so the searches are independent; workers
 // bounds the parallelism (values below 1 mean one worker). Results and
 // errors are returned positionally: for each i exactly one of
-// results[i], errs[i] is non-nil.
-func (c *Completer) CompleteBatch(exprs []pathexpr.Expr, workers int) (results []*Result, errs []error) {
-	return c.CompleteBatchContext(context.Background(), exprs, workers)
-}
-
-// CompleteBatchContext is CompleteBatch under a context: every search
-// observes the context's cancellation and deadline (see
-// CompleteContext), so one call can bound the wall-clock time of the
-// whole batch while each member degrades to its best-so-far answer.
+// results[i], errs[i] is non-nil. Every search observes the context's
+// cancellation and deadline (see CompleteContext), so one call can
+// bound the wall-clock time of the whole batch while each member
+// degrades to its best-so-far answer.
 func (c *Completer) CompleteBatchContext(ctx context.Context, exprs []pathexpr.Expr, workers int) (results []*Result, errs []error) {
 	results = make([]*Result, len(exprs))
 	errs = make([]error, len(exprs))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -8,9 +9,9 @@ import (
 	"pathcomplete/internal/uni"
 )
 
-// TestCompleteBatch checks that concurrent batch completion returns
-// exactly the sequential answers, positionally, with errors isolated
-// to their own slots. Run under -race this also checks the Completer's
+// TestCompleteBatch checks that concurrent batch completion
+// (CompleteBatchContext) returns exactly the sequential answers,
+// positionally, with errors isolated to their own slots. Run under -race this also checks the Completer's
 // concurrency safety.
 func TestCompleteBatch(t *testing.T) {
 	s := uni.New()
@@ -24,7 +25,7 @@ func TestCompleteBatch(t *testing.T) {
 		pathexpr.MustParse("student~credits"),
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		results, errs := c.CompleteBatch(exprs, workers)
+		results, errs := c.CompleteBatchContext(context.Background(), exprs, workers)
 		if len(results) != len(exprs) || len(errs) != len(exprs) {
 			t.Fatalf("workers=%d: lengths %d/%d", workers, len(results), len(errs))
 		}

@@ -2,8 +2,8 @@ package core
 
 // This file implements the compiled search kernel's schema index: the
 // admissible moves of every product-space state (class × pattern
-// segment) as slice views, so the per-visit work of engine.transitions
-// — out-edge filtering, gap/exclusion logic, and a sort — becomes a
+// segment) as slice views, so the per-visit work of dynTransitions —
+// out-edge filtering, gap/exclusion logic, and a sort — becomes a
 // lookup with no allocation. This is the product-automaton
 // precompilation of regular-path-query engines applied to Algorithm 2.
 //

@@ -1,56 +1,29 @@
 package core
 
 // Property tests for the annotated (regex-constrained and
-// predicate-carrying) search kernel:
+// predicate-carrying) search kernel on hand-built cases:
 //
-//   - compiled vs pre-compilation (noCompile) on constrained queries —
-//     exact agreement in answers, order, best set, AND traversal
-//     statistics, in every mode: the automaton product is threaded
-//     through both engines identically.
-//   - compiled exact mode vs the naive reference (enumerate the
-//     stripped pattern, post-filter with the independent stdlib regex
-//     engine over every gap split) — the constrained answer set is by
-//     definition the post-filtered unconstrained answer set.
 //   - universal-constraint degeneracy: ~(.*)~name is bit-for-bit
 //     ~name, down to pattern identity (memo hit) and Stats.
 //   - predicate pushdown: segment predicates prune exactly the classes
 //     whose objects are predicate-false by construction.
+//   - a constraint and a predicate on one gap compose, against the
+//     naive reference on the university schema.
+//
+// The annotated queries of the generated corpus, against the naive
+// reference and the unconstrained answers, are the differential
+// harness's (harness_test.go).
 
 import (
 	"math/rand"
 	"reflect"
-	"regexp"
 	"sort"
 	"testing"
 
 	"pathcomplete/internal/label"
 	"pathcomplete/internal/pathexpr"
-	"pathcomplete/internal/schema"
 	"pathcomplete/internal/uni"
 )
-
-// constraintsFor derives a mix of regex constraints from one
-// unconstrained answer set: exact fragment literals, prefix and suffix
-// shapes around real edge spellings, a broad alternation, and a
-// never-matching pattern — so the product automaton is exercised on
-// accepting, partially-matching, and dead traversals alike.
-func constraintsFor(s *schema.Schema, res *Result) []string {
-	out := []string{`(c|hp|po|as|sa).*`, `zqx9never`}
-	for i, c := range res.Completions {
-		if i >= 2 || len(c.Path.Rels) == 0 {
-			break
-		}
-		frag := pathexpr.SpellFragment(s, c.Path.Rels)
-		first := s.Rel(c.Path.Rels[0]).Name
-		last := s.Rel(c.Path.Rels[len(c.Path.Rels)-1])
-		out = append(out,
-			regexp.QuoteMeta(frag),
-			regexp.QuoteMeta(first)+`.*`,
-			`.*`+regexp.QuoteMeta(last.Conn.String()+last.Name),
-		)
-	}
-	return out
-}
 
 func keysSorted(keys []label.Key) []label.Key {
 	out := make([]label.Key, len(keys))
@@ -62,126 +35,6 @@ func keysSorted(keys []label.Key) []label.Key {
 		return out[i].Conn.String() < out[j].Conn.String()
 	})
 	return out
-}
-
-// TestConstrainedMatchesDynamic drives the compiled kernel and the
-// pre-compilation engine over the same constrained queries and
-// requires identical results and traversal statistics, warm pass
-// included. Soundness is checked per answer: every completion must be
-// ConsistentWith the constrained expression (the pathexpr-level split
-// matcher, a third independent implementation of the semantics).
-func TestConstrainedMatchesDynamic(t *testing.T) {
-	seeds := 12
-	if testing.Short() {
-		seeds = 4
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed * 31337))
-		for _, opts := range modesUnderTest(seed) {
-			dynOpts := opts
-			dynOpts.noCompile = true
-			cmp, dyn := New(s, opts), New(s, dynOpts)
-			roots := 0
-			for _, root := range s.Classes() {
-				if root.Primitive {
-					continue
-				}
-				if roots++; roots > 3 {
-					break
-				}
-				for _, anchor := range anchors(s, r) {
-					base := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-					plain, err := cmp.Complete(base)
-					if err != nil || len(plain.Completions) == 0 {
-						continue
-					}
-					for _, re := range constraintsFor(s, plain) {
-						e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor, Constraint: re}}}
-						got, err := cmp.Complete(e)
-						if err != nil {
-							t.Fatalf("seed %d %v: compiled errored: %v", seed, e, err)
-						}
-						want, err := dyn.Complete(e)
-						if err != nil {
-							t.Fatalf("seed %d %v: dynamic errored: %v", seed, e, err)
-						}
-						if !reflect.DeepEqual(view(got), view(want)) {
-							t.Errorf("seed %d %v %+v:\n compiled: %+v\n dynamic:  %+v", seed, e, opts, view(got), view(want))
-						}
-						if got.Stats != want.Stats {
-							t.Errorf("seed %d %v: stats diverged:\n compiled: %+v\n dynamic:  %+v", seed, e, got.Stats, want.Stats)
-						}
-						warm, err := cmp.Complete(e)
-						if err != nil || !reflect.DeepEqual(view(got), view(warm)) || got.Stats != warm.Stats {
-							t.Errorf("seed %d %v: warm pass diverged (err=%v)", seed, e, err)
-						}
-						for _, c := range got.Completions {
-							if !c.Path.Acyclic() || !c.Path.ConsistentWith(e) {
-								t.Errorf("seed %d %v: completion %v violates the constraint", seed, e, c.Path)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestConstrainedExactMatchesNaive locks the definitional property the
-// issue states: constrained answers are exactly the post-filtered
-// unconstrained answers. The naive side enumerates the STRIPPED
-// pattern and post-filters with gapre.Ref (the stdlib regexp engine)
-// over every gap segmentation; the kernel prunes inside the search via
-// the determinized automaton. Exact mode makes the comparison lossless.
-func TestConstrainedExactMatchesNaive(t *testing.T) {
-	seeds := 15
-	if testing.Short() {
-		seeds = 5
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed*7919 + 3))
-		opts := Exact()
-		opts.E = 1 + int(seed)%3
-		opts.NoPreemption = seed%2 == 0
-		cmp := New(s, opts)
-		roots := 0
-		for _, root := range s.Classes() {
-			if root.Primitive {
-				continue
-			}
-			if roots++; roots > 3 {
-				break
-			}
-			for _, anchor := range anchors(s, r) {
-				base := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-				plain, err := cmp.Complete(base)
-				if err != nil || len(plain.Completions) == 0 {
-					continue
-				}
-				for _, re := range constraintsFor(s, plain) {
-					e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor, Constraint: re}}}
-					got, err := cmp.Complete(e)
-					if err != nil {
-						t.Fatalf("seed %d %v: compiled errored: %v", seed, e, err)
-					}
-					naive, err := NaiveComplete(s, e, opts, 200_000)
-					if err != nil {
-						if err == ErrEnumLimit {
-							continue
-						}
-						t.Fatalf("seed %d %v: NaiveComplete: %v", seed, e, err)
-					}
-					gv, nv := view(got), view(naive)
-					gv.Best, nv.Best = keysSorted(gv.Best), keysSorted(nv.Best)
-					if !reflect.DeepEqual(gv, nv) {
-						t.Errorf("seed %d (E=%d) %v:\n compiled: %+v\n naive:    %+v", seed, opts.E, e, gv, nv)
-					}
-				}
-			}
-		}
-	}
 }
 
 // TestUniversalConstraintDegenerate: a constraint whose automaton
@@ -307,59 +160,6 @@ func TestPredicateCompleteExpr(t *testing.T) {
 	}
 	if len(empty.Completions) != 0 {
 		t.Errorf("incompatible predicate on a complete expression should empty the answer, got %+v", view(empty))
-	}
-}
-
-// TestPredicateMatchesNaive is the predicate differential: kernel
-// pred-pruned completions equal the naive reference (enumerate the
-// stripped pattern, post-filter by per-class admissibility), in exact
-// mode, over the random schema corpus using the generator's shared
-// label (C) and size (I) attributes.
-func TestPredicateMatchesNaive(t *testing.T) {
-	preds := []string{`self = "x"`, `self >= 2.5`, `label != "a"`, `size < 7`}
-	for seed := int64(0); seed < 10; seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed*911 + 5))
-		opts := Exact()
-		opts.NoPreemption = seed%2 == 1
-		cmp := New(s, opts)
-		dynOpts := opts
-		dynOpts.noCompile = true
-		dyn := New(s, dynOpts)
-		roots := 0
-		for _, root := range s.Classes() {
-			if root.Primitive {
-				continue
-			}
-			if roots++; roots > 3 {
-				break
-			}
-			for _, anchor := range anchors(s, r) {
-				for _, p := range preds {
-					e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor, Pred: p}}}
-					got, err := cmp.Complete(e)
-					if err != nil {
-						continue // anchor absent
-					}
-					want, err := dyn.Complete(e)
-					if err != nil || !reflect.DeepEqual(view(got), view(want)) || got.Stats != want.Stats {
-						t.Errorf("seed %d %v: compiled vs dynamic diverged (err=%v)", seed, e, err)
-					}
-					naive, err := NaiveComplete(s, e, opts, 200_000)
-					if err != nil {
-						if err == ErrEnumLimit {
-							continue
-						}
-						t.Fatalf("seed %d %v: NaiveComplete: %v", seed, e, err)
-					}
-					gv, nv := view(got), view(naive)
-					gv.Best, nv.Best = keysSorted(gv.Best), keysSorted(nv.Best)
-					if !reflect.DeepEqual(gv, nv) {
-						t.Errorf("seed %d %v:\n compiled: %+v\n naive:    %+v", seed, e, gv, nv)
-					}
-				}
-			}
-		}
 	}
 }
 

@@ -132,11 +132,6 @@ type Options struct {
 	// overrun is bounded by a few microseconds of search work.
 	Deadline time.Duration
 
-	// noCompile disables the compiled transition index, forcing the
-	// dynamic per-visit derivation — the reference configuration the
-	// compiled kernel is property-tested against.
-	noCompile bool
-
 	// Tracer, when non-nil, receives a structured event at every
 	// decision point of the search (node entry, prunes, caution-set
 	// rescues, offers, preemptions) — see Tracer and TraceRecorder.
@@ -387,15 +382,12 @@ func (c *Completer) CompleteContext(ctx context.Context, e pathexpr.Expr) (*Resu
 }
 
 // search runs one compiled-pattern search on a pooled engine, which
-// moves over the index cp (pat's own, compiled here, when cp is nil),
-// or over dynamically derived transitions under noCompile. The
-// engine's reachability check (canComplete) runs first: a pattern with
-// no reachable completing move gets the empty Result without a
+// moves over the index cp (pat's own, compiled here, when cp is nil).
+// The engine's reachability check (canComplete) runs first: a pattern
+// with no reachable completing move gets the empty Result without a
 // traversal. Otherwise the engine runs Algorithm 2.
 func (c *Completer) search(ctx context.Context, pat *pattern, cp *compiled) *Result {
-	if c.opts.noCompile {
-		cp = nil
-	} else if cp == nil {
+	if cp == nil {
 		cp = c.compiledFor(pat)
 	}
 	en := c.getEngineFor(ctx, pat, cp)

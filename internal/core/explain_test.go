@@ -81,9 +81,9 @@ func TestPreferSpecific(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Resolve: %v", err)
 	}
-	if Specificity(take) <= Specificity(offers) {
+	if specificity(take) <= specificity(offers) {
 		t.Errorf("specificity(take)=%.2f should exceed specificity(offers)=%.2f",
-			Specificity(take), Specificity(offers))
+			specificity(take), specificity(offers))
 	}
 }
 

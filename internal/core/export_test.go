@@ -3,6 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
 
 	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/schema"
@@ -72,20 +75,51 @@ func SearchBothWays(ctx context.Context, c *Completer, e pathexpr.Expr, classGap
 		return nil, nil, false, err
 	}
 	checked = c.search(ctx, pat, nil)
-	var cp *compiled
-	if !c.opts.noCompile {
-		cp = c.compiledFor(pat)
-	}
-	en := c.getEngineFor(ctx, pat, cp)
+	en := c.getEngineFor(ctx, pat, c.compiledFor(pat))
 	answered = !en.canComplete()
 	searched = en.run()
 	c.putEngine(en)
 	return checked, searched, answered, nil
 }
 
-// WithoutIndex returns o under the noCompile reference configuration:
-// transitions derived per visit instead of read from the compiled index.
-func WithoutIndex(o Options) Options {
-	o.noCompile = true
-	return o
+// The naive reference in its steps, for the differential harness,
+// which enumerates Ψ once per base query and derives the naive answer
+// of every query over that base from it.
+
+// NaivePsi returns Ψ of e's unannotated base (e with every gap
+// constraint and predicate removed) under opts.Exclude: every acyclic
+// complete path expression consistent with it. limit > 0 bounds the
+// enumeration (ErrEnumLimit on overflow).
+func NaivePsi(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) ([]*pathexpr.Resolved, error) {
+	pat, err := compile(s, e)
+	if err != nil {
+		return nil, err
+	}
+	return enumerate(s, pat.stripped(), opts, limit)
+}
+
+// NaiveFilter returns the members of psi, the Ψ of e's base, that
+// satisfy e's gap constraints and predicates, without changing psi.
+func NaiveFilter(s *schema.Schema, e pathexpr.Expr, psi []*pathexpr.Resolved) ([]*pathexpr.Resolved, error) {
+	pat, err := compile(s, e)
+	if err != nil {
+		return nil, err
+	}
+	return filterAnnotated(s, pat, psi)
+}
+
+// NaiveSelect returns the definitional answer over psi under opts:
+// AGG*, Support, preemption, specificity and order.
+func NaiveSelect(s *schema.Schema, psi []*pathexpr.Resolved, opts Options) *Result {
+	return naiveSelect(s, psi, opts)
+}
+
+// RandSchema exposes the random schema shapes to the external test
+// package, and RandAnchors their gap anchors, sorted.
+func RandSchema(t testing.TB, seed int64) *schema.Schema { return randSchema(t, seed) }
+
+func RandAnchors(s *schema.Schema, r *rand.Rand) []string {
+	out := anchors(s, r)
+	sort.Strings(out)
+	return out
 }

@@ -275,7 +275,7 @@ func (f *Frontier) merge(cells []*Result) *Result {
 // completion: a fresh Frontier advanced once, treating the final gap
 // step's name as the typed prefix. It defines the answer the
 // incremental session path must reproduce for every keystroke — the
-// differential oracle lane in oracle_test.go locks the equality.
+// frontier adapter of the differential harness locks the equality.
 // When the prefix matches exactly one anchor equal to itself, the
 // answer's completions, labels, and best set coincide with
 // CompleteContext's (the merge of one cell is the cell).

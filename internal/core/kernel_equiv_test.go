@@ -10,33 +10,11 @@ import (
 	"pathcomplete/internal/pathexpr"
 )
 
-// This file property-tests the compiled search kernel against its
-// reference engines over randomized schemas:
-//
-//   - compiled vs pre-compilation (noCompile) — must agree exactly, in
-//     answers, order, best set, AND traversal statistics, in every
-//     mode: the compiled index is a pure representation change.
-//   - compiled vs naive enumeration in exact mode — inherited from
-//     equiv_test.go, re-checked here through the pooled warm path.
-//   - one Completer shared by concurrent goroutines — the same answers
-//     as one at a time.
-//
-// The suite runs under -race in CI, which also exercises the engine
-// pool and the base table for data races.
-
-// modesUnderTest returns the option sets the kernel comparison sweeps.
-func modesUnderTest(seed int64) []Options {
-	paper, safe, exact := Paper(), Safe(), Exact()
-	paper.E = 1 + int(seed)%3
-	safe.E = 1 + int(seed+1)%3
-	exact.E = 1 + int(seed+2)%3
-	exact.NoPreemption = seed%2 == 0
-	safe.PreferSpecific = seed%3 == 0
-	off := Options{E: 1, Caution: CautionOff}
-	noEarly := Exact()
-	noEarly.NoEarlyTarget = true
-	return []Options{paper, safe, exact, off, noEarly}
-}
+// One Completer shared by concurrent goroutines must give the same
+// answers as one at a time. The suite runs under -race in CI, which
+// also exercises the engine pool and the base table for data races.
+// Equivalence with the definitional answer is the differential
+// harness's (harness_test.go).
 
 // resultView is the externally observable outcome of a search, for
 // exact comparison between engines.
@@ -59,59 +37,6 @@ func view(r *Result) resultView {
 		Best:        r.Best,
 		Truncated:   r.Truncated,
 		Aborted:     r.Aborted,
-	}
-}
-
-// TestCompiledMatchesDynamic drives the compiled kernel and the
-// pre-compilation engine over the same random queries and requires
-// identical results and identical traversal statistics. Each query
-// runs twice against the same Completer so the second pass exercises
-// the warm pooled engine and the memoized index.
-func TestCompiledMatchesDynamic(t *testing.T) {
-	seeds := 40
-	if testing.Short() {
-		seeds = 10
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed * 9349))
-		for _, opts := range modesUnderTest(seed) {
-			dynOpts := opts
-			dynOpts.noCompile = true
-			cmp, dyn := New(s, opts), New(s, dynOpts)
-			for _, root := range s.Classes() {
-				if root.Primitive {
-					continue
-				}
-				for _, anchor := range anchors(s, r) {
-					e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-					got, err := cmp.Complete(e)
-					if err != nil {
-						continue // anchor absent from this schema
-					}
-					want, err := dyn.Complete(e)
-					if err != nil {
-						t.Fatalf("seed %d %v: dynamic engine errored where compiled did not: %v", seed, e, err)
-					}
-					if !reflect.DeepEqual(view(got), view(want)) {
-						t.Errorf("seed %d %v %+v:\n compiled: %+v\n dynamic:  %+v", seed, e, opts, view(got), view(want))
-					}
-					if got.Stats != want.Stats {
-						t.Errorf("seed %d %v: traversal stats diverged:\n compiled: %+v\n dynamic:  %+v",
-							seed, e, got.Stats, want.Stats)
-					}
-					// Warm pass: pooled engine, memoized index.
-					warm, err := cmp.Complete(e)
-					if err != nil {
-						t.Fatalf("seed %d %v: warm pass errored: %v", seed, e, err)
-					}
-					if !reflect.DeepEqual(view(got), view(warm)) || got.Stats != warm.Stats {
-						t.Errorf("seed %d %v: warm pass diverged from cold:\n cold: %+v\n warm: %+v",
-							seed, e, view(got), view(warm))
-					}
-				}
-			}
-		}
 	}
 }
 

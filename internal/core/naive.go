@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,6 +12,122 @@ import (
 	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/schema"
 )
+
+// This file implements the definitional reference in three steps:
+// enumerate the set Ψ of ALL valid acyclic complete path expressions
+// consistent with an incomplete expression's unannotated base
+// (Section 3), keep the members that satisfy its annotations, then
+// select Ψ_opt with AGG* and the Inheritance Semantics Criterion. It
+// is the oracle of the differential harness (which enumerates Ψ once
+// per base query and runs the later steps per query), the baseline of
+// the benchmark suite, and the source of the paper's in-text statistic
+// that an average of over 500 acyclic path expressions are consistent
+// with each incomplete expression.
+
+// ErrEnumLimit is returned when enumeration exceeds the caller's
+// limit.
+var ErrEnumLimit = fmt.Errorf("core: consistent-path enumeration limit exceeded")
+
+// EnumerateConsistent returns every acyclic complete path expression
+// consistent with e, in no particular order. Excluded classes (if any
+// are configured in opts) are respected so that the enumeration stays
+// comparable with the pruned search. limit > 0 aborts with
+// ErrEnumLimit once more than limit paths are found; it bounds the
+// enumeration of e's unannotated base.
+func EnumerateConsistent(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) ([]*pathexpr.Resolved, error) {
+	pat, err := compile(s, e)
+	if err != nil {
+		return nil, err
+	}
+	psi, err := enumerate(s, pat.stripped(), opts, limit)
+	if err != nil {
+		return nil, err
+	}
+	return filterAnnotated(s, pat, psi)
+}
+
+// NaiveComplete computes the definitional answer: all consistent
+// acyclic completions are enumerated, ranked with AGG*, and filtered
+// by the Inheritance Semantics Criterion. The result's
+// Stats.Enumerated reports |Ψ|, the total number of consistent acyclic
+// completions. limit > 0 bounds the enumeration (ErrEnumLimit on
+// overflow).
+func NaiveComplete(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) (*Result, error) {
+	if !e.Incomplete() {
+		return New(s, opts).Complete(e)
+	}
+	psi, err := EnumerateConsistent(s, e, opts, limit)
+	if err != nil {
+		return nil, err
+	}
+	return naiveSelect(s, psi, opts), nil
+}
+
+// enumerate returns Ψ of an unannotated pattern: every acyclic path
+// from the root that completes it, each edge sequence once (gap splits
+// can spell one path twice). Its moves are dynTransitions', derived
+// once per (class, segment) state; only opts.Exclude affects them.
+func enumerate(s *schema.Schema, pat *pattern, opts Options, limit int) ([]*pathexpr.Resolved, error) {
+	var (
+		out     []*pathexpr.Resolved
+		seen    = make(map[string]bool)
+		visited = make([]bool, s.NumClasses())
+		path    []schema.RelID
+		errl    error
+		moves   = make([]*[2][]trans, s.NumClasses()*len(pat.segs))
+	)
+	var dfs func(v schema.ClassID, seg int) bool
+	dfs = func(v schema.ClassID, seg int) bool {
+		st := &moves[int(v)*len(pat.segs)+seg]
+		if *st == nil {
+			comps, kids := dynTransitions(s, pat, &opts, v, seg)
+			*st = &[2][]trans{comps, kids}
+		}
+		comps, kids := (*st)[0], (*st)[1]
+		for _, tr := range comps {
+			if visited[tr.rel.To] {
+				continue
+			}
+			rels := make([]schema.RelID, 0, len(path)+1)
+			rels = append(rels, path...)
+			rels = append(rels, tr.rel.ID)
+			sig := sigFor(rels)
+			if seen[sig] {
+				continue
+			}
+			seen[sig] = true
+			r, err := pathexpr.FromRels(s, pat.root, rels)
+			if err != nil {
+				panic("core: inconsistent enumeration stack: " + err.Error())
+			}
+			out = append(out, r)
+			if limit > 0 && len(out) > limit {
+				errl = ErrEnumLimit
+				return false
+			}
+		}
+		for _, tr := range kids {
+			if visited[tr.rel.To] {
+				continue
+			}
+			visited[tr.rel.To] = true
+			path = append(path, tr.rel.ID)
+			ok := dfs(tr.rel.To, seg+tr.step)
+			path = path[:len(path)-1]
+			visited[tr.rel.To] = false
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	visited[pat.root] = true
+	dfs(pat.root, 0)
+	if errl != nil {
+		return nil, errl
+	}
+	return out, nil
+}
 
 // sigFor renders an edge sequence as a string key for the enumerator's
 // dedup map. The optimized engine dedups by hash (sigOf) instead; the
@@ -27,60 +142,27 @@ func sigFor(rels []schema.RelID) string {
 	return sb.String()
 }
 
-// This file implements the definitional reference: enumerate the set Ψ
-// of ALL valid acyclic complete path expressions consistent with an
-// incomplete expression (Section 3), then select Ψ_opt with AGG* and
-// the Inheritance Semantics Criterion. It serves three purposes: the
-// oracle that the pruned Algorithm 2 search is property-tested
-// against, the baseline of the benchmark suite, and the source of the
-// paper's in-text statistic that an average of over 500 acyclic path
-// expressions are consistent with each incomplete expression.
-
-// ErrEnumLimit is returned when enumeration exceeds the caller's
-// limit.
-var ErrEnumLimit = fmt.Errorf("core: consistent-path enumeration limit exceeded")
-
-// EnumerateConsistent returns every acyclic complete path expression
-// consistent with e, in no particular order. Excluded classes (if any
-// are configured in opts) are respected so that the enumeration stays
-// comparable with the pruned search. limit > 0 aborts with
-// ErrEnumLimit once more than limit paths are found.
-func EnumerateConsistent(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) ([]*pathexpr.Resolved, error) {
-	pat, err := compile(s, e)
-	if err != nil {
-		return nil, err
-	}
-	return enumerateAnnotated(s, pat, opts, limit)
-}
-
-// enumerateAnnotated is the definitional reference for annotated
-// (regex-constrained or predicate-carrying) patterns: enumerate the
-// UNCONSTRAINED Ψ on the stripped pattern, then post-filter by an
-// independent engine — the stdlib regexp matcher over fragment
-// spellings plus per-class predicate admissibility — over every
-// possible gap segmentation of each path. The optimized kernel, which
-// prunes via the determinized automaton product inside the search, is
-// property-tested against this. Unannotated patterns pass straight
-// through to the plain enumerator. limit bounds the pre-filter
-// enumeration.
-func enumerateAnnotated(s *schema.Schema, pat *pattern, opts Options, limit int) ([]*pathexpr.Resolved, error) {
+// filterAnnotated returns, in a new slice, the members of psi (the Ψ
+// of pat's stripped pattern) that satisfy pat's regex constraints and
+// predicates. It is independent of the kernel's automaton product: the
+// stdlib regexp matcher over fragment spellings plus per-class
+// predicate admissibility, over every gap segmentation of each path.
+// An unannotated pattern keeps psi as it is.
+func filterAnnotated(s *schema.Schema, pat *pattern, psi []*pathexpr.Resolved) ([]*pathexpr.Resolved, error) {
 	if !pat.annotated() {
-		return enumerate(s, pat, opts, limit)
-	}
-	all, err := enumerate(s, pat.stripped(), opts, limit)
-	if err != nil {
-		return nil, err
+		return psi, nil
 	}
 	refs := make([]*gapre.Ref, len(pat.segs))
 	for i := range pat.segs {
 		if c := pat.segs[i].constraint; c != "" {
+			var err error
 			if refs[i], err = gapre.NewRef(c); err != nil {
 				return nil, fmt.Errorf("core: gap constraint %q: %w", c, err)
 			}
 		}
 	}
-	out := all[:0]
-	for _, r := range all {
+	var out []*pathexpr.Resolved
+	for _, r := range psi {
 		if matchAnnotated(s, pat, refs, r.Rels, 0, 0) {
 			out = append(out, r)
 		}
@@ -133,89 +215,22 @@ func matchAnnotated(s *schema.Schema, pat *pattern, refs []*gapre.Ref, rels []sc
 	return false
 }
 
-func enumerate(s *schema.Schema, pat *pattern, opts Options, limit int) ([]*pathexpr.Resolved, error) {
-	en := newEngine(context.Background(), s, pat, opts)
-	var (
-		out  []*pathexpr.Resolved
-		seen = make(map[string]bool)
-		errl error
-	)
-	var dfs func(v schema.ClassID, seg int) bool
-	dfs = func(v schema.ClassID, seg int) bool {
-		comps, kids := en.transitions(v, seg)
-		for _, tr := range comps {
-			if en.visited[tr.rel.To] {
-				continue
-			}
-			rels := make([]schema.RelID, 0, len(en.path)+1)
-			rels = append(rels, en.path...)
-			rels = append(rels, tr.rel.ID)
-			sig := sigFor(rels)
-			if seen[sig] {
-				continue
-			}
-			seen[sig] = true
-			r, err := pathexpr.FromRels(s, pat.root, rels)
-			if err != nil {
-				panic("core: inconsistent enumeration stack: " + err.Error())
-			}
-			out = append(out, r)
-			if limit > 0 && len(out) > limit {
-				errl = ErrEnumLimit
-				return false
-			}
-		}
-		for _, tr := range kids {
-			if en.visited[tr.rel.To] {
-				continue
-			}
-			en.visited[tr.rel.To] = true
-			en.path = append(en.path, tr.rel.ID)
-			ok := dfs(tr.rel.To, seg+tr.step)
-			en.path = en.path[:len(en.path)-1]
-			en.visited[tr.rel.To] = false
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	en.visited[pat.root] = true
-	dfs(pat.root, 0)
-	if errl != nil {
-		return nil, errl
-	}
-	return out, nil
-}
-
-// NaiveComplete computes the definitional answer: all consistent
-// acyclic completions are enumerated, ranked with AGG*, and filtered
-// by the Inheritance Semantics Criterion. The result's
-// Stats.Enumerated reports |Ψ|, the total number of consistent acyclic
-// completions. limit > 0 bounds the enumeration (ErrEnumLimit on
-// overflow).
-func NaiveComplete(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) (*Result, error) {
-	if !e.Incomplete() {
-		return New(s, opts).Complete(e)
-	}
-	pat, err := compile(s, e)
-	if err != nil {
-		return nil, err
-	}
-	all, err := enumerateAnnotated(s, pat, opts, limit)
-	if err != nil {
-		return nil, err
-	}
-	keys := make([]label.Key, len(all))
-	labels := make([]label.Label, len(all))
-	for i, r := range all {
+// naiveSelect is the selection step, the definitional answer over psi:
+// AGG* picks the optimal keys (Best), whose witnesses' edges are
+// Support; then preemption, the specificity preference and the result
+// order apply, the order by a comparator of its own, so the harness
+// checks sortCompletions independently. psi is only read.
+func naiveSelect(s *schema.Schema, psi []*pathexpr.Resolved, opts Options) *Result {
+	keys := make([]label.Key, len(psi))
+	labels := make([]label.Label, len(psi))
+	for i, r := range psi {
 		labels[i] = r.Label()
 		keys[i] = labels[i].Key()
 	}
 	best := label.AggStar(keys, opts.e())
 	support := NewEdgeSet(s.NumRels())
 	var found []Completion
-	for i, r := range all {
+	for i, r := range psi {
 		if slices.Contains(best, keys[i]) {
 			found = append(found, Completion{Path: r, Label: labels[i]})
 			for _, rid := range r.Rels {
@@ -242,7 +257,7 @@ func NaiveComplete(s *schema.Schema, e pathexpr.Expr, opts Options, limit int) (
 	return &Result{
 		Completions: found,
 		Best:        best,
-		Stats:       Stats{Enumerated: len(all)},
+		Stats:       Stats{Enumerated: len(psi)},
 		Support:     support,
-	}, nil
+	}
 }

@@ -139,57 +139,6 @@ func TestCompleteExpressionSupport(t *testing.T) {
 	}
 }
 
-// TestSupportCoversCompletions: on random schemas, both the pruned
-// engine and the naive oracle report a Support that contains every
-// edge of every reported completion (Support may be a superset — it
-// covers every optimal-label witness seen before the preemption and
-// specificity filters).
-func TestSupportCoversCompletions(t *testing.T) {
-	seeds := 30
-	if testing.Short() {
-		seeds = 8
-	}
-	for seed := int64(0); seed < int64(seeds); seed++ {
-		s := randSchema(t, seed)
-		r := rand.New(rand.NewSource(seed * 1321))
-		for _, root := range s.Classes() {
-			if root.Primitive {
-				continue
-			}
-			for _, anchor := range anchors(s, r) {
-				e := pathexpr.Expr{Root: root.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
-				opts := Exact()
-				res, err := New(s, opts).Complete(e)
-				if err != nil {
-					continue
-				}
-				if res.Support == nil {
-					t.Fatalf("seed %d %v: engine Support nil", seed, e)
-				}
-				completionEdges := SupportEdges(s, res)
-				for _, id := range completionEdges.IDs() {
-					if !res.Support.Has(id) {
-						t.Fatalf("seed %d %v: completion edge %d missing from Support %v",
-							seed, e, id, res.Support.IDs())
-					}
-				}
-				naive, err := NaiveComplete(s, e, opts, 200000)
-				if err != nil {
-					t.Fatalf("seed %d %v: NaiveComplete: %v", seed, e, err)
-				}
-				if naive.Support == nil {
-					t.Fatalf("seed %d %v: naive Support nil", seed, e)
-				}
-				for _, id := range SupportEdges(s, naive).IDs() {
-					if !naive.Support.Has(id) {
-						t.Fatalf("seed %d %v: naive completion edge %d missing from Support", seed, e, id)
-					}
-				}
-			}
-		}
-	}
-}
-
 // rebuildWithout re-declares s minus the relationship pairs whose
 // forward RelID is in skip. Classes are declared in the original
 // order, so class IDs (and thus rendered answers) are comparable

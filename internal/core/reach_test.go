@@ -15,20 +15,12 @@ import (
 	"pathcomplete/internal/uni"
 )
 
-// reachNaiveCalls bounds the naive cross-check of an answered query: the
-// naive enumerator walks every simple path of the product space when
-// nothing completes, which is what the exact engine's traversal counts
-// in Stats.Calls. Answered queries whose exact traversal exceeds this
-// are not enumerated.
-const reachNaiveCalls = 20_000
-
 // checkReach answers e through the dispatch and through the engine
 // with the reachability check bypassed. Where the check answers, the
 // two Results must be equal with Stats left aside, and the dispatch's
-// Stats must be zero; the naive enumerator, where the exact probe says
-// its walk stays within reachNaiveCalls, must find no completion too.
-// It reports whether the check answered.
-func checkReach(t *testing.T, tag string, cmp, probe *core.Completer, e pathexpr.Expr, classGaps map[int]bool) bool {
+// Stats must be zero. (That Ψ is empty wherever the check answers is
+// the differential harness's.) It reports whether the check answered.
+func checkReach(t *testing.T, tag string, cmp *core.Completer, e pathexpr.Expr, classGaps map[int]bool) bool {
 	t.Helper()
 	checked, searched, answered, err := core.SearchBothWays(context.Background(), cmp, e, classGaps)
 	if err != nil {
@@ -43,23 +35,6 @@ func checkReach(t *testing.T, tag string, cmp, probe *core.Completer, e pathexpr
 	searched.Stats = core.Stats{}
 	if !reflect.DeepEqual(checked, searched) {
 		t.Errorf("%s %v (class gaps %v): check answered %+v, engine %+v", tag, e, classGaps, checked, searched)
-	}
-	if len(classGaps) > 0 {
-		return true // the naive enumerator has no class-anchored form
-	}
-	_, exact, _, err := core.SearchBothWays(context.Background(), probe, e, nil)
-	if err != nil {
-		t.Fatalf("%s %v: %v", tag, e, err)
-	}
-	if exact.Aborted {
-		return true
-	}
-	naive, err := core.NaiveComplete(cmp.Schema(), e, cmp.Options(), oracleEnumLimit)
-	if err != nil {
-		t.Fatalf("%s %v: NaiveComplete: %v", tag, e, err)
-	}
-	if len(naive.Completions) != 0 {
-		t.Errorf("%s %v: the check answered empty, NaiveComplete finds %v", tag, e, naive.Strings())
 	}
 	return true
 }
@@ -93,10 +68,10 @@ func reachCorpus(t *testing.T, n int64) []reachSchema {
 // TestReachabilityCheckCells: over every (root, anchor) cell of the
 // corpus, wherever the reachability check answers a single-gap query,
 // its Result equals the one the engine assembles after a full
-// traversal, Stats aside, and the naive enumerator finds nothing. The
-// check must fire on every cupid schema: each has attributes, and the
-// inverse of an attribute (<class>_of_<attr>, out of a primitive) is an
-// anchor no gap can end on.
+// traversal, Stats aside. The check must fire on every cupid schema:
+// each has attributes, and the inverse of an attribute
+// (<class>_of_<attr>, out of a primitive) is an anchor no gap can end
+// on.
 func TestReachabilityCheckCells(t *testing.T) {
 	n, stride := int64(30), 1
 	if testing.Short() {
@@ -109,9 +84,6 @@ func TestReachabilityCheckCells(t *testing.T) {
 			opts = core.Safe()
 		}
 		cmp := core.New(s, opts)
-		probeOpts := core.Exact()
-		probeOpts.MaxCalls = reachNaiveCalls
-		probe := core.New(s, probeOpts)
 		anchors := core.GapAnchors(s)
 		fired, cells := 0, 0
 		for _, c := range s.Classes() {
@@ -121,7 +93,7 @@ func TestReachabilityCheckCells(t *testing.T) {
 			for k := int(c.ID) % stride; k < len(anchors); k += stride {
 				e := pathexpr.Expr{Root: c.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchors[k]}}}
 				cells++
-				if checkReach(t, rs.name, cmp, probe, e, nil) {
+				if checkReach(t, rs.name, cmp, e, nil) {
 					fired++
 				}
 			}
@@ -135,8 +107,7 @@ func TestReachabilityCheckCells(t *testing.T) {
 
 // TestReachabilityCheckPatterns: the same lock over random multi-gap
 // patterns with explicit steps, predicates, class-anchored gaps and
-// regex constraints, on the compiled index and on the dynamic
-// reference, which must agree on whether the check answers.
+// regex constraints.
 func TestReachabilityCheckPatterns(t *testing.T) {
 	n, perSchema := int64(60), 30
 	if testing.Short() {
@@ -147,10 +118,6 @@ func TestReachabilityCheckPatterns(t *testing.T) {
 		s := rs.s
 		r := rand.New(rand.NewSource(int64(i)*7919 + 3))
 		cmp := core.New(s, core.Paper())
-		ref := core.New(s, core.WithoutIndex(core.Paper()))
-		probeOpts := core.Exact()
-		probeOpts.MaxCalls = reachNaiveCalls
-		probe := core.New(s, probeOpts)
 		rels := s.Rels()
 		for k := 0; k < perSchema; k++ {
 			e, classGaps := randRowPattern(s, r)
@@ -168,17 +135,7 @@ func TestReachabilityCheckPatterns(t *testing.T) {
 					e.Steps[j].Constraint = `zqx9never`
 				}
 			}
-			tag := fmt.Sprintf("%s pattern %d", rs.name, k)
-			answered := checkReach(t, tag, cmp, probe, e, classGaps)
-			_, _, refAnswered, err := core.SearchBothWays(context.Background(), ref, e, classGaps)
-			if err != nil {
-				t.Fatalf("%s %v: %v", tag, e, err)
-			}
-			if refAnswered != answered {
-				t.Errorf("%s %v (class gaps %v): the check answers %v on the compiled index, %v on the dynamic reference",
-					tag, e, classGaps, answered, refAnswered)
-			}
-			if answered {
+			if checkReach(t, fmt.Sprintf("%s pattern %d", rs.name, k), cmp, e, classGaps) {
 				fired++
 			}
 		}

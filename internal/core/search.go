@@ -45,7 +45,7 @@ type foundEntry struct {
 type engine struct {
 	s      *schema.Schema
 	pat    *pattern
-	cp     *compiled // nil: derive transitions per visit (naive, noCompile)
+	cp     *compiled // the pattern's compiled transition index
 	opts   Options
 	e      int
 	tracer Tracer // nil: tracing disabled (the hot-path default)
@@ -99,17 +99,9 @@ type engine struct {
 	stats     Stats
 }
 
-// newEngine builds a fresh, unpooled engine — the construction path of
-// the naive enumerator.
-func newEngine(ctx context.Context, s *schema.Schema, pat *pattern, opts Options) *engine {
-	en := &engine{s: s, visited: make([]bool, s.NumClasses())}
-	en.prepare(ctx, pat, nil, opts)
-	return en
-}
-
-// prepare readies the engine for one search over pat (with compiled
-// transition index cp, or nil for the dynamic path). It must reset
-// every piece of per-search state that release does not.
+// prepare readies the engine for one search over pat through its
+// compiled transition index cp. It must reset every piece of
+// per-search state that release does not.
 func (en *engine) prepare(ctx context.Context, pat *pattern, cp *compiled, opts Options) {
 	en.pat = pat
 	en.cp = cp
@@ -410,13 +402,12 @@ func (en *engine) traverse(v schema.ClassID, seg int, q int32, lv label.Inc, tlv
 }
 
 // moves returns the admissible transitions at (v, seg): slice views
-// into the compiled index when one is attached, the dynamically
-// derived (and allocated) lists otherwise.
+// into the compiled index, the only source of moves a search reads.
+// The index holds exactly the moves dynTransitions derives
+// (TestCompiledRowsMatchDynamic checks every state), so a search over
+// it is the search over the schema itself.
 func (en *engine) moves(v schema.ClassID, seg int) (comps, kids []trans) {
-	if en.cp != nil {
-		return en.cp.moves(v, seg)
-	}
-	return en.transitions(v, seg)
+	return en.cp.moves(v, seg)
 }
 
 func (en *engine) cautionSet(c connector.Connector) connector.Set {
@@ -548,18 +539,12 @@ func relsEqualSplit(a, path []schema.RelID, last schema.RelID) bool {
 	return true
 }
 
-// transitions derives the admissible moves at (v, seg) from the schema
-// — the dynamic path, used by the naive enumerator, by the noCompile
-// reference configuration, and as the single source of truth the
-// compiled index is built from. See dynTransitions.
-func (en *engine) transitions(v schema.ClassID, seg int) (comps, kids []trans) {
-	return dynTransitions(en.s, en.pat, &en.opts, v, seg)
-}
-
 // dynTransitions computes the admissible moves at (v, seg), split into
 // completing moves (reaching segment index len(segs)) and ordinary
 // children. Children are returned best-edge-first (the sorted
-// children[] of Algorithm 2).
+// children[] of Algorithm 2). It is the single source of truth for
+// moves: the compiled index is built from it, and the naive enumerator
+// walks it.
 func dynTransitions(s *schema.Schema, pat *pattern, opts *Options, v schema.ClassID, seg int) (comps, kids []trans) {
 	return appendTransitions(nil, nil, s, pat, opts, v, seg)
 }
@@ -679,8 +664,8 @@ func (en *engine) assemble() *Result {
 // sortCompletions puts completions in result order: shortest semantic
 // length first, then by connector symbol, then by the rendered path.
 // Each path is rendered once per sort rather than on both sides of
-// every comparison. NaiveComplete keeps its own comparator, so the
-// oracle checks this order independently.
+// every comparison. The naive reference keeps its own comparator, so
+// the harness checks this order independently.
 func sortCompletions(cs []Completion) {
 	if len(cs) < 2 {
 		return

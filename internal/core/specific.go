@@ -51,9 +51,3 @@ func preferSpecific(cs []Completion) []Completion {
 	}
 	return out
 }
-
-// Specificity exposes the path-specificity measure for tooling and
-// tests: the average Isa depth of the path's non-primitive classes.
-func Specificity(r *pathexpr.Resolved) float64 {
-	return specificity(r)
-}
