@@ -1,15 +1,17 @@
 package closure_test
 
-// Unit coverage of the byte Budget and the Builder/Handle lifecycle
-// (ready, budget-exhausted, cancel-mid-build, cancel-after-ready, the
-// Disabled helper, and the observer contract). That every cell of a
-// built Index is bit-for-bit the kernel's one-shot Result is proven by
-// the differential harness of internal/core (harness_test.go), under
-// the exact, paper and safe presets.
+// Every cell of a materialized Index must be bit-for-bit the Result the
+// online kernel returns for the same `root ~ anchor` query, Stats
+// included, under the exact, paper and safe presets (internal/core's
+// differential harness also checks the durable copy). Plus unit
+// coverage of the byte Budget and the Builder/Handle lifecycle (ready,
+// budget-exhausted, cancel-mid-build, cancel-after-ready, the Disabled
+// helper, and the observer contract).
 
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -17,8 +19,14 @@ import (
 	"pathcomplete/internal/closure"
 	"pathcomplete/internal/core"
 	"pathcomplete/internal/cupid"
+	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/schema"
 )
+
+// diffSchemas is the number of generated schemas the differential
+// sweep covers. Each schema is checked over its full anchor × root
+// grid, so the corpus is kept small and the class range tight.
+const diffSchemas = 40
 
 // diffConfig derives a generator config: sizes cycle 3..24 classes so
 // a full all-pairs grid stays cheap.
@@ -36,6 +44,62 @@ func diffConfig(i int64) cupid.Config {
 		RelPairs:  classes - 1 + hubs*fanout + classes/2 + int(i)%7,
 		Hubs:      hubs,
 		HubFanout: fanout,
+	}
+}
+
+// TestClosureOracleEquivalence: for every generated schema and each of
+// the three presets, Build the full Index and require every Lookup to
+// be reflect.DeepEqual to a fresh online Complete of the same query
+// under the same options, and no cell for a primitive root.
+func TestClosureOracleEquivalence(t *testing.T) {
+	n := int64(diffSchemas)
+	if testing.Short() {
+		n = 10
+	}
+	for i := int64(0); i < n; i++ {
+		cfg := diffConfig(i)
+		w, err := cupid.Generate(cfg)
+		if err != nil {
+			t.Fatalf("schema %d: Generate(%+v): %v", i, cfg, err)
+		}
+		s := w.Schema
+		anchors := core.GapAnchors(s)
+		for _, opts := range []core.Options{core.Exact(), core.Paper(), core.Safe()} {
+			opts.E = 1 + int(i)%3
+			opts.NoPreemption = i%2 == 0
+			opts.PreferSpecific = i%5 == 0
+			cmp := core.New(s, opts)
+			ix, err := closure.Build(context.Background(), "diff", uint64(i), cmp, nil)
+			if err != nil {
+				t.Fatalf("schema %d (opts %+v): Build: %v", i, opts, err)
+			}
+			if ix.Anchors() != len(anchors) || ix.Bytes() <= 0 || ix.Cells() <= 0 {
+				t.Errorf("schema %d (opts %+v): anchors=%d (want %d) bytes=%d cells=%d",
+					i, opts, ix.Anchors(), len(anchors), ix.Bytes(), ix.Cells())
+			}
+			for _, anchor := range anchors {
+				for _, c := range s.Classes() {
+					e := pathexpr.Expr{Root: c.Name, Steps: []pathexpr.Step{{Gap: true, Name: anchor}}}
+					got, hit := ix.Lookup(c.ID, anchor)
+					if c.Primitive {
+						if hit {
+							t.Errorf("schema %d: Lookup(%s~%s): cell materialized for primitive root", i, c.Name, anchor)
+						}
+						continue
+					}
+					want, err := cmp.Complete(e)
+					if err != nil {
+						t.Fatalf("schema %d: Complete(%s~%s): %v", i, c.Name, anchor, err)
+					}
+					if !hit {
+						t.Errorf("schema %d: Lookup(%s~%s): missing cell", i, c.Name, anchor)
+					} else if !reflect.DeepEqual(got, want) {
+						t.Errorf("schema %d (classes=%d, opts=%+v) %s~%s: closure cell diverges from kernel:\nclosure: %+v %+v\nkernel:  %+v %+v",
+							i, cfg.Classes, opts, c.Name, anchor, view(got), got.Stats, view(want), want.Stats)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -45,6 +45,11 @@ package core_test
 // comparison: every other adapter still compares it with the one-shot.
 // The harness fails when an adapter compares no cell on a schema it
 // runs on. A new answer path is one more adapter.
+//
+// The harness runs once per test binary. TestOracleHarness fails on
+// every disagreement; each property checked also has a test of its own
+// that fails on the disagreements of its facet (the checks that name
+// it), or when the run made no such check.
 
 import (
 	"context"
@@ -61,6 +66,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,6 +243,7 @@ type hQuery struct {
 type hCase struct {
 	name    string // names the reproducer files
 	origin  string // how to regenerate the schema
+	cupid   bool   // an oracleConfig schema, not a randSchema one
 	s       *schema.Schema
 	r       *rand.Rand
 	presets [3]hPreset
@@ -324,6 +331,7 @@ func oracleCase(t *testing.T, i int64) *hCase {
 	mix := core.Options{E: 1 + int(i)%3, NoPreemption: i%2 == 0, PreferSpecific: i%5 == 0}
 	c := newCase(fmt.Sprintf("oracle%03d", i), fmt.Sprintf("cupid.Generate(%+v)", cfg), i,
 		w.Schema, rand.New(rand.NewSource(i*69621+1)), mix)
+	c.cupid = true
 	for k, root := range c.roots(4) {
 		for _, anchor := range oracleAnchors(c.s, c.r) {
 			c.queries = append(c.queries, hQuery{base: gap(root, anchor), annotate: i < 60 && k < 2})
@@ -370,7 +378,7 @@ func randCase(t *testing.T, seed int64) *hCase {
 	return c
 }
 
-// harness holds the counters the run reports.
+// harness holds the counters the run reports and what it found.
 type harness struct {
 	enumerated map[string]int // Ψ enumerations, by key
 	limitKeys  int            // keys whose Ψ passed the limit
@@ -380,14 +388,37 @@ type harness struct {
 	differ     [3]int         // cells whose answer differs from naive, by preset
 	diffCells  [3]int         // cells compared with naive, by preset
 	finals     int            // session finals compared
-	failures   int
+	schemas    int            // schemas run
+
+	failures []string            // every disagreement of the run
+	checks   map[string]int      // checks made, by facet
+	facets   map[string][]string // disagreements, by facet
+	done     bool                // the run went through the corpus, or stopped
 }
 
-// TestOracleHarness runs every adapter over the corpus. Its log
-// reports the Ψ enumerations, the cells skipped at the enumeration
-// limit, and how many cells Paper() and Safe() answer differently from
-// naive (a report; only Exact() is gated on naive).
-func TestOracleHarness(t *testing.T) {
+var (
+	harnessOnce sync.Once
+	harnessRun  *harness
+)
+
+// runHarness returns the run of the harness, running it on the first
+// call. A setup error fails the test that made that call; every other
+// caller then fails too, since the run did not finish.
+func runHarness(t *testing.T) *harness {
+	t.Helper()
+	harnessOnce.Do(func() {
+		harnessRun = &harness{enumerated: map[string]int{}, checks: map[string]int{}, facets: map[string][]string{}}
+		harnessRun.runCorpus(t)
+	})
+	if !harnessRun.done {
+		t.Fatal("the harness run stopped before the end of its corpus")
+	}
+	return harnessRun
+}
+
+// runCorpus runs every adapter over the corpus (40 cupid and 15 random
+// schemas under -short).
+func (h *harness) runCorpus(t *testing.T) {
 	if err := os.RemoveAll(failureDir); err != nil {
 		t.Fatal(err)
 	}
@@ -395,16 +426,42 @@ func TestOracleHarness(t *testing.T) {
 	if testing.Short() {
 		nOracle, nRand = 40, 15
 	}
-	h := &harness{enumerated: map[string]int{}}
-	var cases []*hCase
-	for i := int64(0); i < nOracle; i++ {
-		cases = append(cases, oracleCase(t, i))
+	for i := int64(0); i < nOracle+nRand; i++ {
+		if len(h.failures) >= maxFailures {
+			h.failures = append(h.failures, fmt.Sprintf("%d disagreements, stopping; reproducers under %s", len(h.failures), failureDir))
+			break
+		}
+		if i < nOracle {
+			h.run(t, oracleCase(t, i))
+		} else {
+			h.run(t, randCase(t, i-nOracle))
+		}
+		h.schemas++
 	}
-	for seed := int64(0); seed < nRand; seed++ {
-		cases = append(cases, randCase(t, seed))
+	h.done = true
+}
+
+// report fails t with the disagreements of its facet, the checks named
+// after it, or when the run made no such check.
+func (h *harness) report(t *testing.T) {
+	t.Helper()
+	if h.checks[t.Name()] == 0 {
+		t.Fatalf("the harness made no check of %s (a run stops at %d disagreements: see TestOracleHarness)", t.Name(), maxFailures)
 	}
-	for _, c := range cases {
-		h.run(t, c)
+	for _, msg := range h.facets[t.Name()] {
+		t.Error(msg)
+	}
+	t.Logf("%d checks over %d schemas of the harness", h.checks[t.Name()], h.schemas)
+}
+
+// TestOracleHarness fails on every disagreement of the run. Its log
+// reports the Ψ enumerations, the cells skipped at the enumeration
+// limit, and how many cells Paper() and Safe() answer differently from
+// naive (a report; only Exact() is gated on naive).
+func TestOracleHarness(t *testing.T) {
+	h := runHarness(t)
+	for _, msg := range h.failures {
+		t.Error(msg)
 	}
 	for key, n := range h.enumerated {
 		if n > 1 {
@@ -418,16 +475,52 @@ func TestOracleHarness(t *testing.T) {
 		t.Error("the wire adapter compared no session final")
 	}
 	t.Logf("%d schemas, %d cells: %d Ψ enumerations (limit %d), %d keys past the limit, %d cells skipped the naive comparison",
-		len(cases), h.cells, len(h.enumerated), oracleEnumLimit, h.limitKeys, h.limitCells)
+		h.schemas, h.cells, len(h.enumerated), oracleEnumLimit, h.limitKeys, h.limitCells)
 	t.Logf("the reachability check answered %d cells", h.answered)
 	for _, p := range []int{paper, safe} {
 		t.Logf("%s: %d of %d cells compared with naive answer differently (untruncated, under the limit, ablations aside; not gated)",
 			presetNames[p], h.differ[p], h.diffCells[p])
 	}
-	if h.failures > 0 {
-		t.Logf("%d disagreements; reproducers under %s", h.failures, failureDir)
+	if len(h.failures) > 0 {
+		t.Logf("%d disagreements; reproducers under %s", len(h.failures), failureDir)
 	}
 }
+
+// The properties the harness checks. Each test reports its facet of
+// the one run: the checks that name it.
+//
+// Exact() against naive (answers, order, labels, Best): on the cupid
+// base queries, and on the random single-gap and two-gap ones.
+func TestOracleDifferential(t *testing.T)        { runHarness(t).report(t) }
+func TestExactMatchesNaive(t *testing.T)         { runHarness(t).report(t) }
+func TestExactMatchesNaiveMultiGap(t *testing.T) { runHarness(t).report(t) }
+
+// Exact() against the naive answer filtered from the base Ψ, and every
+// preset's answer inside the base Ψ: on the cupid annotated queries,
+// and on the random constrained and predicate ones.
+func TestOracleConstrained(t *testing.T)            { runHarness(t).report(t) }
+func TestConstrainedExactMatchesNaive(t *testing.T) { runHarness(t).report(t) }
+func TestPredicateMatchesNaive(t *testing.T)        { runHarness(t).report(t) }
+
+// .* and .+ give the unconstrained Result bit for bit, every preset.
+func TestOracleUniversalDegeneracy(t *testing.T) { runHarness(t).report(t) }
+
+// The frontier adapter.
+func TestOracleIncrementalPrefix(t *testing.T) { runHarness(t).report(t) }
+
+// On the schemas with an excluded class: Exact() against naive, and no
+// completion of any preset through the class.
+func TestExclusionEquivalence(t *testing.T) { runHarness(t).report(t) }
+
+// Every completion of every preset is acyclic, consistent and clear of
+// Exclude.
+func TestPaperModeSoundness(t *testing.T) { runHarness(t).report(t) }
+
+// Support ⊇ completion edges, of Exact() and of naive.
+func TestSupportCoversCompletions(t *testing.T) { runHarness(t).report(t) }
+
+// AGG*(Ψ, 1) = AGG(Ψ), and the Best of an E = 1 search is AGG(Ψ).
+func TestMetamorphicAggStarE1IsAgg(t *testing.T) { runHarness(t).report(t) }
 
 // run runs every adapter of one schema and fails if an adapter that
 // runs on it compared no cell.
@@ -456,48 +549,91 @@ func (h *harness) run(t *testing.T, c *hCase) {
 	}
 	for _, a := range adapters {
 		if c.compared[a] == 0 {
-			t.Errorf("%s (%s): adapter %s compared no cell", c.name, c.origin, a)
+			h.failures = append(h.failures, fmt.Sprintf("%s (%s): adapter %s compared no cell", c.name, c.origin, a))
 		}
 	}
 }
 
 // failureDir holds the reproducers of a failing run; each run starts
-// it afresh. A run stops at maxFailures disagreements.
+// it afresh. A run writes at most maxFailures of them, and stops after
+// the schema on which it reaches that many disagreements.
 var failureDir = filepath.Join("testdata", "oracle_failures")
 
 const maxFailures = 100
 
-// check is the harness's one comparison: it fails the test when got
-// differs from want and writes the reproducer of the cell.
-func (h *harness) check(t *testing.T, c *hCase, e pathexpr.Expr, opts core.Options, adapter string, got, want any) bool {
-	t.Helper()
+// check is the harness's one comparison: when got differs from want it
+// records the disagreement, for TestOracleHarness and for each facet,
+// and writes the reproducer of the cell. Each facet counts the check.
+func (h *harness) check(c *hCase, e pathexpr.Expr, opts core.Options, adapter string, got, want any, facets ...string) bool {
+	for _, name := range facets {
+		h.checks[name]++
+	}
 	if reflect.DeepEqual(got, want) {
 		return true
 	}
-	h.failures++
 	report := fmt.Sprintf("%s:\n got:  %+v\n want: %+v", adapter, got, want)
-	t.Errorf("%s %s %v (opts %+v)", report, c.name, e, opts)
-	if err := os.MkdirAll(failureDir, 0o755); err != nil {
-		t.Logf("reproducer: %v", err)
-		return false
+	msg := fmt.Sprintf("%s %s %v (opts %+v)", report, c.name, e, opts)
+	h.failures = append(h.failures, msg)
+	for _, name := range facets {
+		h.facets[name] = append(h.facets[name], msg)
 	}
+	if len(h.failures) > maxFailures {
+		return false // enough reproducers; the run stops after this schema
+	}
+	if err := reproduce(c, e, opts, report); err != nil {
+		h.failures = append(h.failures, fmt.Sprintf("reproducer of %s: %v", c.name, err))
+	}
+	return false
+}
+
+// reproduce writes the schema of c as SDL and appends the cell to its
+// reproducer.
+func reproduce(c *hCase, e pathexpr.Expr, opts core.Options, report string) error {
 	base := filepath.Join(failureDir, c.name)
-	if text, err := sdl.WriteString(c.s); err == nil {
-		if err := os.WriteFile(base+".sdl", []byte(text), 0o644); err != nil {
-			t.Logf("reproducer: %v", err)
+	text, err := sdl.WriteString(c.s)
+	if err == nil {
+		if err = os.MkdirAll(failureDir, 0o755); err == nil {
+			err = os.WriteFile(base+".sdl", []byte(text), 0o644)
 		}
+	}
+	if err != nil {
+		return err
 	}
 	f, err := os.OpenFile(base+".txt", os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
-		t.Logf("reproducer: %v", err)
-		return false
+		return err
 	}
 	defer f.Close()
-	fmt.Fprintf(f, "schema: %s\nexpr: %s\nopts: %+v\n%s\n\n", c.origin, e, opts, report)
-	if h.failures == maxFailures {
-		t.Fatalf("%d disagreements, stopping; reproducers under %s", h.failures, failureDir)
+	_, err = fmt.Fprintf(f, "schema: %s\nexpr: %s\nopts: %+v\n%s\n\n", c.origin, e, opts, report)
+	return err
+}
+
+// naiveFacet names the facet of the naive comparison of query e, of
+// the given kind, on case c.
+func naiveFacet(c *hCase, e pathexpr.Expr, kind int) string {
+	switch {
+	case c.cupid && kind == queryBase:
+		return "TestOracleDifferential"
+	case c.cupid:
+		return "TestOracleConstrained"
+	case kind == queryBase && len(e.Steps) > 1:
+		return "TestExactMatchesNaiveMultiGap"
+	case kind == queryBase:
+		return "TestExactMatchesNaive"
+	case e.Steps[len(e.Steps)-1].Pred != "":
+		return "TestPredicateMatchesNaive"
+	default:
+		return "TestConstrainedExactMatchesNaive"
 	}
-	return false
+}
+
+// withExclusion adds the exclusion facet to facets when c excludes a
+// class.
+func withExclusion(c *hCase, facets ...string) []string {
+	if len(c.presets[exact].opts.Exclude) > 0 {
+		facets = append(facets, "TestExclusionEquivalence")
+	}
+	return facets
 }
 
 // psi enumerates Ψ of one base query; limited reports a key past the
@@ -538,8 +674,14 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 		for i, r := range psi {
 			keys[i] = r.Label().Key()
 		}
-		h.check(t, c, q.base, c.presets[exact].opts, "exact: AGG*(Ψ, 1) = AGG(Ψ)",
-			label.Equal(label.AggStar(keys, 1), label.Agg(keys)), true)
+		opts := c.presets[exact].opts
+		agg := label.Agg(keys)
+		h.check(c, q.base, opts, "exact: AGG*(Ψ, 1) = AGG(Ψ)",
+			label.Equal(label.AggStar(keys, 1), agg), true, "TestMetamorphicAggStarE1IsAgg")
+		if opts.E == 1 {
+			h.check(c, q.base, opts, "exact: Best of an E = 1 search = AGG(Ψ)",
+				label.Equal(plain[exact].Best, agg), true, "TestMetamorphicAggStarE1IsAgg")
+		}
 	}
 	members := map[string]bool(nil) // the base Ψ by edge sequence, built on first use
 	inBase := func(r *pathexpr.Resolved) bool {
@@ -566,7 +708,7 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 		return core.NaiveSelect(c.s, sub, c.presets[exact].opts)
 	}
 	baseNaive := naive(q.base)
-	h.runQuery(t, c, q.base, queryBase, baseNaive, plain, nil)
+	h.runQuery(c, q.base, queryBase, baseNaive, plain, nil)
 	if !q.annotate {
 		return
 	}
@@ -575,7 +717,7 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 	last := len(q.base.Steps) - 1
 	for _, re := range []string{`.*`, `.+`} {
 		e := withStep(q.base, last, func(st *pathexpr.Step) { st.Constraint = re })
-		h.runQuery(t, c, e, queryUniversal, baseNaive, plain, inBase)
+		h.runQuery(c, e, queryUniversal, baseNaive, plain, inBase)
 	}
 	var derived []pathexpr.Expr
 	for _, re := range constraintsFor(c.s, plain[exact]) {
@@ -585,7 +727,7 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 		derived = append(derived, withStep(q.base, last, func(st *pathexpr.Step) { st.Pred = pr }))
 	}
 	for _, e := range derived {
-		h.runQuery(t, c, e, queryAnnotated, naive(e), plain, inBase)
+		h.runQuery(c, e, queryAnnotated, naive(e), plain, inBase)
 	}
 }
 
@@ -639,29 +781,30 @@ func relKey(rels []schema.RelID) string {
 // naive is its naive answer (nil past the enumeration limit) and plain
 // holds the presets' answers to the base; inBase, nil for the base
 // itself, tests membership in the base Ψ.
-func (h *harness) runQuery(t *testing.T, c *hCase, e pathexpr.Expr, kind int, naive *core.Result,
+func (h *harness) runQuery(c *hCase, e pathexpr.Expr, kind int, naive *core.Result,
 	plain [3]*core.Result, inBase func(*pathexpr.Resolved) bool) {
 	h.cells++
 	if naive == nil {
 		h.limitCells++
 	}
+	nf := naiveFacet(c, e, kind)
 	for p := range c.presets {
 		opts, cmp := c.presets[p].opts, c.presets[p].cmp
 		res := plain[p]
 		if kind != queryBase {
 			var err error
 			if res, err = cmp.Complete(e); err != nil {
-				h.check(t, c, e, opts, "annotations: compile", err.Error(), "")
+				h.check(c, e, opts, "annotations: compile", err.Error(), "", nf)
 				continue
 			}
 		}
 		if kind != queryUniversal { // a universal query is itself a rerun of the base
 			warm, err := cmp.Complete(e)
 			if err != nil {
-				h.check(t, c, e, opts, "warm: error", err.Error(), "")
+				h.check(c, e, opts, "warm: error", err.Error(), "")
 				continue
 			}
-			h.check(t, c, e, opts, "warm: "+presetNames[p], warm, res)
+			h.check(c, e, opts, "warm: "+presetNames[p], warm, res)
 			c.compared["warm"]++
 		}
 
@@ -674,12 +817,12 @@ func (h *harness) runQuery(t *testing.T, c *hCase, e pathexpr.Expr, kind int, na
 				outside = append(outside, comp.Path.String())
 			}
 		}
-		h.check(t, c, e, opts, "sound: "+presetNames[p], unsound, []string(nil))
+		h.check(c, e, opts, "sound: "+presetNames[p], unsound, []string(nil), withExclusion(c, "TestPaperModeSoundness")...)
 		c.compared["sound"]++
 		if kind != queryBase {
-			h.check(t, c, e, opts, "annotations: completions outside the base Ψ ("+presetNames[p]+")", outside, []string(nil))
+			h.check(c, e, opts, "annotations: completions outside the base Ψ ("+presetNames[p]+")", outside, []string(nil), nf)
 			if kind == queryUniversal {
-				h.check(t, c, e, opts, "annotations: universal constraint ("+presetNames[p]+")", res, plain[p])
+				h.check(c, e, opts, "annotations: universal constraint ("+presetNames[p]+")", res, plain[p], "TestOracleUniversalDegeneracy")
 			}
 			c.compared["annotations"]++
 		}
@@ -702,12 +845,12 @@ func (h *harness) runQuery(t *testing.T, c *hCase, e pathexpr.Expr, kind int, na
 		}
 		got, want := view(res), view(naive)
 		got.Best, want.Best = sortedBest(got.Best), sortedBest(want.Best)
-		h.check(t, c, e, opts, "exact: against naive", got, want)
-		h.check(t, c, e, opts, "exact: Support", supportGap(c.s, res), "")
-		h.check(t, c, e, opts, "exact: naive Support", supportGap(c.s, naive), "")
+		h.check(c, e, opts, "exact: against naive", got, want, withExclusion(c, nf)...)
+		h.check(c, e, opts, "exact: Support", supportGap(c.s, res), "", "TestSupportCoversCompletions")
+		h.check(c, e, opts, "exact: naive Support", supportGap(c.s, naive), "", "TestSupportCoversCompletions")
 		if res.Stats.Calls == 0 {
 			h.answered++
-			h.check(t, c, e, opts, "exact: |Ψ| where the reachability check answers", naive.Stats.Enumerated, 0)
+			h.check(c, e, opts, "exact: |Ψ| where the reachability check answers", naive.Stats.Enumerated, 0)
 		}
 		c.compared["exact"]++
 		if c.wire && kind != queryUniversal && len(c.wireCells) < 16 {
@@ -789,25 +932,25 @@ func (h *harness) frontier(t *testing.T, c *hCase) {
 				e := gap(root, prefix)
 				warm, info, werr := fr.Advance(ctx, prefix, nil)
 				cold, cerr := p.cmp.CompletePrefixContext(ctx, e)
-				if !h.check(t, c, e, p.opts, "frontier: warm and cold errors", fmt.Sprint(werr), fmt.Sprint(cerr)) || werr != nil {
+				if !h.check(c, e, p.opts, "frontier: warm and cold errors", fmt.Sprint(werr), fmt.Sprint(cerr), "TestOracleIncrementalPrefix") || werr != nil {
 					break // no anchor matches this prefix
 				}
-				h.check(t, c, e, p.opts, "frontier: warm Advance against cold CompletePrefixContext", view(warm), view(cold))
+				h.check(c, e, p.opts, "frontier: warm Advance against cold CompletePrefixContext", view(warm), view(cold), "TestOracleIncrementalPrefix")
 				if l > 1 {
-					h.check(t, c, e, p.opts, "frontier: cold searches of a refinement", info.Cold, 0)
+					h.check(c, e, p.opts, "frontier: cold searches of a refinement", info.Cold, 0, "TestOracleIncrementalPrefix")
 				}
 				if m := fr.Matches(prefix); len(m) == 1 && m[0] == prefix {
 					one, err := p.cmp.Complete(e)
 					if err != nil {
 						t.Fatalf("%s %v: %v", c.name, e, err)
 					}
-					h.check(t, c, e, p.opts, "frontier: narrowed Advance against the one-shot", view(warm), view(one))
+					h.check(c, e, p.opts, "frontier: narrowed Advance against the one-shot", view(warm), view(one), "TestOracleIncrementalPrefix")
 				}
 				c.compared["frontier"]++
 			}
 		}
 		_, _, err = fr.Advance(ctx, "zz\x00nope", nil)
-		h.check(t, c, gap(root, "zz\x00nope"), p.opts, "frontier: a prefix that matches nothing errs", err != nil, true)
+		h.check(c, gap(root, "zz\x00nope"), p.opts, "frontier: a prefix that matches nothing errs", err != nil, true, "TestOracleIncrementalPrefix")
 	}
 }
 
@@ -835,7 +978,7 @@ func (h *harness) closure(t *testing.T, c *hCase) {
 			t.Fatalf("%s: RestoreIndex: %v", c.name, err)
 		}
 		roots := len(c.roots(-1))
-		h.check(t, c, pathexpr.Expr{}, opts, "closure: anchors, cells and bytes",
+		h.check(c, pathexpr.Expr{}, opts, "closure: anchors, cells and bytes",
 			[]any{ix.Anchors(), ix.Cells(), ix.Bytes() > 0}, []any{len(anchors), roots * len(anchors), true})
 		for _, cls := range c.s.Classes() {
 			for _, anchor := range anchors {
@@ -843,15 +986,15 @@ func (h *harness) closure(t *testing.T, c *hCase) {
 				cell, hit := ix.Lookup(cls.ID, anchor)
 				rcell, rhit := restored.Lookup(cls.ID, anchor)
 				if cls.Primitive {
-					h.check(t, c, e, opts, "closure: cells of a primitive root", [2]bool{hit, rhit}, [2]bool{})
+					h.check(c, e, opts, "closure: cells of a primitive root", [2]bool{hit, rhit}, [2]bool{})
 					continue
 				}
 				want, err := cmp.Complete(e)
 				if err != nil {
 					t.Fatalf("%s %v: %v", c.name, e, err)
 				}
-				h.check(t, c, e, opts, "closure: cell against the one-shot ("+presetNames[p]+")", cell, want)
-				h.check(t, c, e, opts, "persist: restored cell against the one-shot ("+presetNames[p]+")", rcell, want)
+				h.check(c, e, opts, "closure: cell against the one-shot ("+presetNames[p]+")", cell, want)
+				h.check(c, e, opts, "persist: restored cell against the one-shot ("+presetNames[p]+")", rcell, want)
 				c.compared["closure"]++
 				c.compared["persist"]++
 			}
@@ -893,12 +1036,12 @@ func (h *harness) wire(t *testing.T, c *hCase) {
 		want := render(wc.res.Completions)
 		for k, engine := range []string{"search", "memo"} {
 			env := postComplete(t, kernel.Handler(), wc.e.String())
-			h.check(t, c, wc.e, opts, "wire: /v1/complete "+engine,
+			h.check(c, wc.e, opts, "wire: /v1/complete "+engine,
 				[]any{env.Meta.Engine, env.Meta.CacheHit, env.completions()}, []any{"search", k == 1, want})
 		}
 		if singleGap(wc.e) {
 			env := postComplete(t, warmed.Handler(), wc.e.String())
-			h.check(t, c, wc.e, opts, "wire: /v1/complete closure",
+			h.check(c, wc.e, opts, "wire: /v1/complete closure",
 				[]any{env.Meta.Engine, env.completions()}, []any{"closure", want})
 			extended := 0
 			for _, a := range anchors {
@@ -936,7 +1079,7 @@ func (h *harness) wire(t *testing.T, c *hCase) {
 		for _, cand := range ex.Final.Completions {
 			got = append(got, line(cand.Path, cand.Conn, cand.SemLen))
 		}
-		h.check(t, c, wc.e, opts, "wire: /v1/sessions final", []any{got, gotBest}, []any{render(wc.res.Completions), best})
+		h.check(c, wc.e, opts, "wire: /v1/sessions final", []any{got, gotBest}, []any{render(wc.res.Completions), best})
 		h.finals++
 	}
 }
