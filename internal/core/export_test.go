@@ -3,9 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
-	"testing"
 
 	"pathcomplete/internal/pathexpr"
 	"pathcomplete/internal/schema"
@@ -114,12 +111,13 @@ func NaiveSelect(s *schema.Schema, psi []*pathexpr.Resolved, opts Options) *Resu
 	return naiveSelect(s, psi, opts)
 }
 
-// RandSchema exposes the random schema shapes to the external test
-// package, and RandAnchors their gap anchors, sorted.
-func RandSchema(t testing.TB, seed int64) *schema.Schema { return randSchema(t, seed) }
+// The random schema shapes, their gap anchors and the comparison
+// helpers of the package's own tests, for the external test package.
+type ResultView = resultView
 
-func RandAnchors(s *schema.Schema, r *rand.Rand) []string {
-	out := anchors(s, r)
-	sort.Strings(out)
-	return out
-}
+var (
+	RandSchema  = randSchema
+	RandAnchors = anchors
+	View        = view
+	KeysSorted  = keysSorted
+)

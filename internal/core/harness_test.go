@@ -9,7 +9,9 @@ package core_test
 //   - one corpus: the cupid schemas of oracleConfig (3..60 classes,
 //     hubful and hub-free) and the random shapes of randSchema, with
 //     single-gap, multi-gap, constrained, predicate and Exclude
-//     queries under option mixes that vary with the schema;
+//     queries, and random patterns with explicit steps, predicates on
+//     any step and constraints on any gap, under option mixes that
+//     vary with the schema;
 //   - Ψ enumerated once per (schema, base query, Exclude), the base
 //     being the query without its gap constraints and predicates;
 //   - every naive answer derived from that Ψ: keep the members that
@@ -46,10 +48,11 @@ package core_test
 // The harness fails when an adapter compares no cell on a schema it
 // runs on. A new answer path is one more adapter.
 //
-// The harness runs once per test binary. TestOracleHarness fails on
-// every disagreement; each property checked also has a test of its own
-// that fails on the disagreements of its facet (the checks that name
-// it), or when the run made no such check.
+// Each check names its property, and a comparison with naive the query
+// family of its cell. The harness runs once per test binary:
+// TestOracleHarness fails on every disagreement, and the tests named
+// after the suites it replaced each fail on the disagreements whose
+// message names their property.
 
 import (
 	"context"
@@ -63,7 +66,6 @@ import (
 	"reflect"
 	"regexp"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,9 +92,9 @@ const (
 
 	// oracleEnumLimit bounds one enumeration of Ψ. A key past it is a
 	// limit key: its cells skip the naive comparison and nothing else.
-	// Two keys of the corpus pass it (one under -short), so the limit
-	// path runs on real cells.
-	oracleEnumLimit = 20_000
+	// No key of the corpus passes it (the largest Ψ has 21,667 paths);
+	// TestOracleEnumLimit runs the limit path under a small limit.
+	oracleEnumLimit = 200_000
 )
 
 // oracleConfig derives a generator config from the schema index:
@@ -126,24 +128,19 @@ func oracleConfig(i int64) cupid.Config {
 // attribute names the generator reuses across classes (genuinely
 // ambiguous), plus a few relationship and class names.
 func oracleAnchors(s *schema.Schema, r *rand.Rand) []string {
-	set := map[string]bool{"value": true, "name": true, "units": true}
+	out := []string{"value", "name", "units"}
 	rels := s.Rels()
 	for k := 0; k < 4 && len(rels) > 0; k++ {
-		set[rels[r.Intn(len(rels))].Name] = true
+		out = append(out, rels[r.Intn(len(rels))].Name)
 	}
 	cs := s.Classes()
 	for k := 0; k < 3; k++ {
-		c := cs[r.Intn(len(cs))]
-		if !c.Primitive {
-			set[c.Name] = true
+		if c := cs[r.Intn(len(cs))]; !c.Primitive {
+			out = append(out, c.Name)
 		}
 	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out) // deterministic sweep order
-	return out
+	slices.Sort(out) // deterministic sweep order
+	return slices.Compact(out)
 }
 
 // TestOracleConfigCoverage pins the corpus shape: the configs the
@@ -176,45 +173,6 @@ func TestOracleConfigCoverage(t *testing.T) {
 	}
 }
 
-// resultView is the externally observable outcome of a search: what
-// the naive comparison and the frontier adapter compare.
-type resultView struct {
-	Completions []string
-	Labels      []string
-	Best        []label.Key
-	Truncated   bool
-	Aborted     bool
-}
-
-func view(r *core.Result) resultView {
-	labels := make([]string, len(r.Completions))
-	for i, c := range r.Completions {
-		labels[i] = c.Label.String()
-	}
-	return resultView{
-		Completions: r.Strings(),
-		Labels:      labels,
-		Best:        r.Best,
-		Truncated:   r.Truncated,
-		Aborted:     r.Aborted,
-	}
-}
-
-// sortedBest returns the Best label keys in a canonical order, so the
-// pruned search (insertion order) and the naive enumeration (AggStar
-// order) can be compared as sets.
-func sortedBest(keys []label.Key) []label.Key {
-	out := make([]label.Key, len(keys))
-	copy(out, keys)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].SemLen != out[j].SemLen {
-			return out[i].SemLen < out[j].SemLen
-		}
-		return out[i].Conn.String() < out[j].Conn.String()
-	})
-	return out
-}
-
 // The presets every schema runs under, indexes into hCase.presets.
 const (
 	exact = iota
@@ -233,10 +191,13 @@ type hPreset struct {
 
 // hQuery is one base query: unannotated, with its own key of Ψ.
 // annotate derives the .* and .+, constrained and predicate queries
-// from it.
+// from it; patterns are the annotated random patterns over it, and
+// pattern marks a base that is itself a random pattern.
 type hQuery struct {
 	base     pathexpr.Expr
 	annotate bool
+	pattern  bool
+	patterns []pathexpr.Expr
 }
 
 // hCase is one schema of the corpus.
@@ -318,10 +279,10 @@ var (
 
 // oracleCase is cupid schema i under the mix of E = 1..3, preemption
 // on and off and the specificity preference on every fifth schema. Up
-// to four roots
-// cross the sampled anchors; the first 60 schemas annotate the cells
-// of two roots. The closure adapter runs on the even schemas of up to
-// 24 classes, the frontier on every fifth, the wire on every fiftieth.
+// to four roots cross the sampled anchors; the first 60 schemas
+// annotate the cells of two roots and draw 30 random patterns. The
+// closure adapter runs on the even schemas of up to 24 classes, the
+// frontier on every fifth, the wire on every fiftieth.
 func oracleCase(t *testing.T, i int64) *hCase {
 	cfg := oracleConfig(i)
 	w, err := cupid.Generate(cfg)
@@ -337,11 +298,42 @@ func oracleCase(t *testing.T, i int64) *hCase {
 			c.queries = append(c.queries, hQuery{base: gap(root, anchor), annotate: i < 60 && k < 2})
 		}
 	}
+	if i < 60 {
+		c.addPatterns(30)
+	}
 	c.preds = oraclePreds[i%4 : i%4+1]
 	c.frontier = i%5 == 2
 	c.closure = cfg.Classes <= 24 && i%2 == 0
 	c.wire = i%50 == 7
 	return c
+}
+
+// addPatterns draws n random patterns of one to three gaps, with
+// explicit steps, predicates on any step and constraints on any gap
+// (randReachPattern). It adds those without a class-anchored gap,
+// which naive has no form for, under their unannotated bases: each
+// base one query, shared with the cells already there, and each
+// pattern once.
+func (c *hCase) addPatterns(n int) {
+	for ; n > 0; n-- {
+		e, classGaps := randReachPattern(c.s, c.r)
+		if len(classGaps) > 0 {
+			continue
+		}
+		base := pathexpr.Expr{Root: e.Root, Steps: slices.Clone(e.Steps)}
+		for j := range base.Steps {
+			base.Steps[j].Constraint, base.Steps[j].Pred = "", ""
+		}
+		k := slices.IndexFunc(c.queries, func(q hQuery) bool { return q.base.String() == base.String() })
+		if k < 0 {
+			k = len(c.queries)
+			c.queries = append(c.queries, hQuery{base: base, pattern: true})
+		}
+		q := &c.queries[k]
+		if e.String() != base.String() && !slices.ContainsFunc(q.patterns, func(p pathexpr.Expr) bool { return p.String() == e.String() }) {
+			q.patterns = append(q.patterns, e)
+		}
+	}
 }
 
 // randCase is randSchema(seed) under E = 1..3, preemption on and off,
@@ -380,20 +372,28 @@ func randCase(t *testing.T, seed int64) *hCase {
 
 // harness holds the counters the run reports and what it found.
 type harness struct {
+	limit      int            // the enumeration limit
 	enumerated map[string]int // Ψ enumerations, by key
 	limitKeys  int            // keys whose Ψ passed the limit
 	limitCells int            // cells that skipped the naive comparison
 	cells      int            // cells (queries) run
 	answered   int            // cells the reachability check answered
+	patterns   [2]int         // pattern cells compared with naive, and those the check answered
 	differ     [3]int         // cells whose answer differs from naive, by preset
 	diffCells  [3]int         // cells compared with naive, by preset
 	finals     int            // session finals compared
 	schemas    int            // schemas run
 
-	failures []string            // every disagreement of the run
-	checks   map[string]int      // checks made, by facet
-	facets   map[string][]string // disagreements, by facet
-	done     bool                // the run went through the corpus, or stopped
+	failures []failure // every disagreement of the run
+	done     bool      // the run went through the whole corpus
+}
+
+// failure is one disagreement: the property that failed, as its check
+// names it, and the report of the cell.
+type failure struct{ property, msg string }
+
+func newHarness(limit int) *harness {
+	return &harness{limit: limit, enumerated: map[string]int{}}
 }
 
 var (
@@ -407,7 +407,7 @@ var (
 func runHarness(t *testing.T) *harness {
 	t.Helper()
 	harnessOnce.Do(func() {
-		harnessRun = &harness{enumerated: map[string]int{}, checks: map[string]int{}, facets: map[string][]string{}}
+		harnessRun = newHarness(oracleEnumLimit)
 		harnessRun.runCorpus(t)
 	})
 	if !harnessRun.done {
@@ -426,32 +426,32 @@ func (h *harness) runCorpus(t *testing.T) {
 	if testing.Short() {
 		nOracle, nRand = 40, 15
 	}
-	for i := int64(0); i < nOracle+nRand; i++ {
-		if len(h.failures) >= maxFailures {
-			h.failures = append(h.failures, fmt.Sprintf("%d disagreements, stopping; reproducers under %s", len(h.failures), failureDir))
-			break
-		}
-		if i < nOracle {
-			h.run(t, oracleCase(t, i))
-		} else {
-			h.run(t, randCase(t, i-nOracle))
-		}
-		h.schemas++
+	for i := int64(0); i < nOracle; i++ {
+		h.run(t, oracleCase(t, i))
+	}
+	for i := int64(0); i < nRand; i++ {
+		h.run(t, randCase(t, i))
 	}
 	h.done = true
 }
 
-// report fails t with the disagreements of its facet, the checks named
-// after it, or when the run made no such check.
-func (h *harness) report(t *testing.T) {
+// report fails t with the disagreements whose property names one of
+// props, or with every disagreement when props is empty. It prints at
+// most maxFailures of them.
+func (h *harness) report(t *testing.T, props ...string) {
 	t.Helper()
-	if h.checks[t.Name()] == 0 {
-		t.Fatalf("the harness made no check of %s (a run stops at %d disagreements: see TestOracleHarness)", t.Name(), maxFailures)
+	n := 0
+	for _, f := range h.failures {
+		if len(props) > 0 && !slices.ContainsFunc(props, func(p string) bool { return strings.Contains(f.property, p) }) {
+			continue
+		}
+		if n++; n <= maxFailures {
+			t.Error(f.msg)
+		}
 	}
-	for _, msg := range h.facets[t.Name()] {
-		t.Error(msg)
+	if n > maxFailures {
+		t.Errorf("and %d more disagreements", n-maxFailures)
 	}
-	t.Logf("%d checks over %d schemas of the harness", h.checks[t.Name()], h.schemas)
 }
 
 // TestOracleHarness fails on every disagreement of the run. Its log
@@ -460,9 +460,7 @@ func (h *harness) report(t *testing.T) {
 // naive (a report; only Exact() is gated on naive).
 func TestOracleHarness(t *testing.T) {
 	h := runHarness(t)
-	for _, msg := range h.failures {
-		t.Error(msg)
-	}
+	h.report(t)
 	for key, n := range h.enumerated {
 		if n > 1 {
 			t.Errorf("Ψ of %s enumerated %d times", key, n)
@@ -471,62 +469,76 @@ func TestOracleHarness(t *testing.T) {
 	if h.answered == 0 {
 		t.Error("the reachability check answered no cell of the corpus")
 	}
+	if h.patterns[0] == 0 || h.patterns[1] == 0 {
+		t.Errorf("%d pattern cells compared with naive, %d of them answered by the reachability check: want some of each",
+			h.patterns[0], h.patterns[1])
+	}
 	if h.finals == 0 {
 		t.Error("the wire adapter compared no session final")
 	}
 	t.Logf("%d schemas, %d cells: %d Ψ enumerations (limit %d), %d keys past the limit, %d cells skipped the naive comparison",
-		h.schemas, h.cells, len(h.enumerated), oracleEnumLimit, h.limitKeys, h.limitCells)
-	t.Logf("the reachability check answered %d cells", h.answered)
+		h.schemas, h.cells, len(h.enumerated), h.limit, h.limitKeys, h.limitCells)
+	t.Logf("the reachability check answered %d cells, %d of them of the %d pattern cells", h.answered, h.patterns[1], h.patterns[0])
 	for _, p := range []int{paper, safe} {
 		t.Logf("%s: %d of %d cells compared with naive answer differently (untruncated, under the limit, ablations aside; not gated)",
 			presetNames[p], h.differ[p], h.diffCells[p])
 	}
 	if len(h.failures) > 0 {
-		t.Logf("%d disagreements; reproducers under %s", len(h.failures), failureDir)
+		t.Logf("%d disagreements; reproducers of the first %d under %s", len(h.failures), maxFailures, failureDir)
 	}
 }
 
-// The properties the harness checks. Each test reports its facet of
-// the one run: the checks that name it.
-//
-// Exact() against naive (answers, order, labels, Best): on the cupid
-// base queries, and on the random single-gap and two-gap ones.
-func TestOracleDifferential(t *testing.T)        { runHarness(t).report(t) }
-func TestExactMatchesNaive(t *testing.T)         { runHarness(t).report(t) }
-func TestExactMatchesNaiveMultiGap(t *testing.T) { runHarness(t).report(t) }
+// The suites the harness replaced keep their names. Each fails on the
+// disagreements whose message names its property: Exact() against
+// naive on the cupid base queries, the random single-gap ones and the
+// random two-gap ones; annotated queries against the naive answer
+// filtered from the base Ψ, and inside the base Ψ (cupid, random
+// constrained, random predicate); .* and .+ bit for bit; the frontier;
+// the naive comparisons and soundness on a schema with an excluded
+// class; the soundness of every preset; Support ⊇ completion edges, of
+// Exact() and of naive; AGG*(Ψ, 1) = AGG(Ψ) and the Best of an E = 1
+// search.
+func TestOracleDifferential(t *testing.T)        { runHarness(t).report(t, "naive, cupid base query") }
+func TestExactMatchesNaive(t *testing.T)         { runHarness(t).report(t, "naive, random single gap") }
+func TestExactMatchesNaiveMultiGap(t *testing.T) { runHarness(t).report(t, "naive, random two gaps") }
+func TestOracleConstrained(t *testing.T)         { runHarness(t).report(t, "cupid annotated query") }
+func TestConstrainedExactMatchesNaive(t *testing.T) {
+	runHarness(t).report(t, "random constrained gap")
+}
+func TestPredicateMatchesNaive(t *testing.T)     { runHarness(t).report(t, "random predicate") }
+func TestOracleUniversalDegeneracy(t *testing.T) { runHarness(t).report(t, "universal constraint") }
+func TestOracleIncrementalPrefix(t *testing.T)   { runHarness(t).report(t, "frontier:") }
+func TestExclusionEquivalence(t *testing.T)      { runHarness(t).report(t, "excluded class") }
+func TestPaperModeSoundness(t *testing.T)        { runHarness(t).report(t, "sound:") }
+func TestSupportCoversCompletions(t *testing.T)  { runHarness(t).report(t, "Support") }
+func TestMetamorphicAggStarE1IsAgg(t *testing.T) { runHarness(t).report(t, "AGG(Ψ)") }
 
-// Exact() against the naive answer filtered from the base Ψ, and every
-// preset's answer inside the base Ψ: on the cupid annotated queries,
-// and on the random constrained and predicate ones.
-func TestOracleConstrained(t *testing.T)            { runHarness(t).report(t) }
-func TestConstrainedExactMatchesNaive(t *testing.T) { runHarness(t).report(t) }
-func TestPredicateMatchesNaive(t *testing.T)        { runHarness(t).report(t) }
-
-// .* and .+ give the unconstrained Result bit for bit, every preset.
-func TestOracleUniversalDegeneracy(t *testing.T) { runHarness(t).report(t) }
-
-// The frontier adapter.
-func TestOracleIncrementalPrefix(t *testing.T) { runHarness(t).report(t) }
-
-// On the schemas with an excluded class: Exact() against naive, and no
-// completion of any preset through the class.
-func TestExclusionEquivalence(t *testing.T) { runHarness(t).report(t) }
-
-// Every completion of every preset is acyclic, consistent and clear of
-// Exclude.
-func TestPaperModeSoundness(t *testing.T) { runHarness(t).report(t) }
-
-// Support ⊇ completion edges, of Exact() and of naive.
-func TestSupportCoversCompletions(t *testing.T) { runHarness(t).report(t) }
-
-// AGG*(Ψ, 1) = AGG(Ψ), and the Best of an E = 1 search is AGG(Ψ).
-func TestMetamorphicAggStarE1IsAgg(t *testing.T) { runHarness(t).report(t) }
+// TestOracleEnumLimit runs the harness on one schema under a small
+// enumeration limit, so that many of its keys pass it. Their cells skip
+// the naive comparison, and the frontier, closure and wire adapters
+// compare them with the one-shot instead: the wire adapter each of
+// them, through /v1/complete.
+func TestOracleEnumLimit(t *testing.T) {
+	h := newHarness(300)
+	c := randCase(t, 4)
+	h.run(t, c)
+	h.report(t)
+	if h.limitKeys == 0 || len(c.limitCells) == 0 {
+		t.Fatalf("%s: no key passed the enumeration limit %d", c.name, h.limit)
+	}
+	if c.compared["wire"] < len(c.limitCells) {
+		t.Errorf("%s: the wire adapter compared %d cells, want the %d past the limit", c.name, c.compared["wire"], len(c.limitCells))
+	}
+	t.Logf("%s: %d of %d keys past the limit %d; %d cells compared by the frontier, %d closure cells, %d wire cells",
+		c.name, h.limitKeys, len(h.enumerated), h.limit, c.compared["frontier"], c.compared["closure"], c.compared["wire"])
+}
 
 // run runs every adapter of one schema and fails if an adapter that
 // runs on it compared no cell.
 func (h *harness) run(t *testing.T, c *hCase) {
+	h.schemas++
 	adapters := []string{"exact", "sound", "warm"}
-	if slices.ContainsFunc(c.queries, func(q hQuery) bool { return q.annotate }) {
+	if slices.ContainsFunc(c.queries, func(q hQuery) bool { return q.annotate || len(q.patterns) > 0 }) {
 		adapters = append(adapters, "annotations")
 	}
 	for _, q := range c.queries {
@@ -549,39 +561,31 @@ func (h *harness) run(t *testing.T, c *hCase) {
 	}
 	for _, a := range adapters {
 		if c.compared[a] == 0 {
-			h.failures = append(h.failures, fmt.Sprintf("%s (%s): adapter %s compared no cell", c.name, c.origin, a))
+			h.failures = append(h.failures, failure{a, fmt.Sprintf("%s (%s): adapter %s compared no cell", c.name, c.origin, a)})
 		}
 	}
 }
 
 // failureDir holds the reproducers of a failing run; each run starts
-// it afresh. A run writes at most maxFailures of them, and stops after
-// the schema on which it reaches that many disagreements.
+// it afresh. A run writes the first maxFailures of them.
 var failureDir = filepath.Join("testdata", "oracle_failures")
 
 const maxFailures = 100
 
-// check is the harness's one comparison: when got differs from want it
-// records the disagreement, for TestOracleHarness and for each facet,
-// and writes the reproducer of the cell. Each facet counts the check.
-func (h *harness) check(c *hCase, e pathexpr.Expr, opts core.Options, adapter string, got, want any, facets ...string) bool {
-	for _, name := range facets {
-		h.checks[name]++
-	}
+// check is the harness's one comparison. property names what is
+// checked, and the query family of the cell where there is one. When
+// got differs from want, check records the disagreement and writes the
+// reproducer of the cell.
+func (h *harness) check(c *hCase, e pathexpr.Expr, opts core.Options, property string, got, want any) bool {
 	if reflect.DeepEqual(got, want) {
 		return true
 	}
-	report := fmt.Sprintf("%s:\n got:  %+v\n want: %+v", adapter, got, want)
-	msg := fmt.Sprintf("%s %s %v (opts %+v)", report, c.name, e, opts)
-	h.failures = append(h.failures, msg)
-	for _, name := range facets {
-		h.facets[name] = append(h.facets[name], msg)
-	}
-	if len(h.failures) > maxFailures {
-		return false // enough reproducers; the run stops after this schema
-	}
-	if err := reproduce(c, e, opts, report); err != nil {
-		h.failures = append(h.failures, fmt.Sprintf("reproducer of %s: %v", c.name, err))
+	report := fmt.Sprintf("%s:\n got:  %+v\n want: %+v", property, got, want)
+	h.failures = append(h.failures, failure{property, fmt.Sprintf("%s %s %v (opts %+v)", report, c.name, e, opts)})
+	if len(h.failures) <= maxFailures {
+		if err := reproduce(c, e, opts, report); err != nil {
+			h.failures = append(h.failures, failure{"reproducer", fmt.Sprintf("reproducer of %s: %v", c.name, err)})
+		}
 	}
 	return false
 }
@@ -608,45 +612,36 @@ func reproduce(c *hCase, e pathexpr.Expr, opts core.Options, report string) erro
 	return err
 }
 
-// naiveFacet names the facet of the naive comparison of query e, of
-// the given kind, on case c.
-func naiveFacet(c *hCase, e pathexpr.Expr, kind int) string {
+// family names the query family of query e, of the given kind, on
+// case c (pattern: a random pattern or over one). The checks that
+// compare a cell with naive name it.
+func family(c *hCase, e pathexpr.Expr, kind int, pattern bool) string {
+	var f string
 	switch {
+	case pattern:
+		f = "cupid pattern"
 	case c.cupid && kind == queryBase:
-		return "TestOracleDifferential"
+		f = "cupid base query"
 	case c.cupid:
-		return "TestOracleConstrained"
+		f = "cupid annotated query"
 	case kind == queryBase && len(e.Steps) > 1:
-		return "TestExactMatchesNaiveMultiGap"
+		f = "random two gaps"
 	case kind == queryBase:
-		return "TestExactMatchesNaive"
+		f = "random single gap"
 	case e.Steps[len(e.Steps)-1].Pred != "":
-		return "TestPredicateMatchesNaive"
+		f = "random predicate"
 	default:
-		return "TestConstrainedExactMatchesNaive"
+		f = "random constrained gap"
 	}
-}
-
-// withExclusion adds the exclusion facet to facets when c excludes a
-// class.
-func withExclusion(c *hCase, facets ...string) []string {
-	if len(c.presets[exact].opts.Exclude) > 0 {
-		facets = append(facets, "TestExclusionEquivalence")
-	}
-	return facets
+	return f
 }
 
 // psi enumerates Ψ of one base query; limited reports a key past the
 // enumeration limit.
 func (h *harness) psi(t *testing.T, c *hCase, base pathexpr.Expr) (psi []*pathexpr.Resolved, limited bool) {
 	opts := c.presets[exact].opts
-	var excl []int
-	for id := range opts.Exclude {
-		excl = append(excl, int(id))
-	}
-	sort.Ints(excl)
-	h.enumerated[fmt.Sprintf("%s %s exclude%v", c.name, base, excl)]++
-	psi, err := core.NaivePsi(c.s, base, opts, oracleEnumLimit)
+	h.enumerated[fmt.Sprintf("%s %s exclude%v", c.name, base, opts.Exclude)]++ // fmt sorts map keys
+	psi, err := core.NaivePsi(c.s, base, opts, h.limit)
 	if err == core.ErrEnumLimit {
 		h.limitKeys++
 		return nil, true
@@ -677,10 +672,10 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 		opts := c.presets[exact].opts
 		agg := label.Agg(keys)
 		h.check(c, q.base, opts, "exact: AGG*(Ψ, 1) = AGG(Ψ)",
-			label.Equal(label.AggStar(keys, 1), agg), true, "TestMetamorphicAggStarE1IsAgg")
+			label.Equal(label.AggStar(keys, 1), agg), true)
 		if opts.E == 1 {
 			h.check(c, q.base, opts, "exact: Best of an E = 1 search = AGG(Ψ)",
-				label.Equal(plain[exact].Best, agg), true, "TestMetamorphicAggStarE1IsAgg")
+				label.Equal(plain[exact].Best, agg), true)
 		}
 	}
 	members := map[string]bool(nil) // the base Ψ by edge sequence, built on first use
@@ -708,7 +703,10 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 		return core.NaiveSelect(c.s, sub, c.presets[exact].opts)
 	}
 	baseNaive := naive(q.base)
-	h.runQuery(c, q.base, queryBase, baseNaive, plain, nil)
+	h.runQuery(c, q, q.base, queryBase, baseNaive, plain, nil)
+	for _, e := range q.patterns {
+		h.runQuery(c, q, e, queryPattern, naive(e), plain, inBase)
+	}
 	if !q.annotate {
 		return
 	}
@@ -717,7 +715,7 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 	last := len(q.base.Steps) - 1
 	for _, re := range []string{`.*`, `.+`} {
 		e := withStep(q.base, last, func(st *pathexpr.Step) { st.Constraint = re })
-		h.runQuery(c, e, queryUniversal, baseNaive, plain, inBase)
+		h.runQuery(c, q, e, queryUniversal, baseNaive, plain, inBase)
 	}
 	var derived []pathexpr.Expr
 	for _, re := range constraintsFor(c.s, plain[exact]) {
@@ -727,7 +725,7 @@ func (h *harness) runBase(t *testing.T, c *hCase, q hQuery) {
 		derived = append(derived, withStep(q.base, last, func(st *pathexpr.Step) { st.Pred = pr }))
 	}
 	for _, e := range derived {
-		h.runQuery(c, e, queryAnnotated, naive(e), plain, inBase)
+		h.runQuery(c, q, e, queryAnnotated, naive(e), plain, inBase)
 	}
 }
 
@@ -736,6 +734,7 @@ const (
 	queryBase      = iota // the base itself
 	queryUniversal        // the base under .* or .+ on its last gap
 	queryAnnotated        // the base under a derived constraint or predicate
+	queryPattern          // an annotated random pattern over the base
 )
 
 // withStep returns a copy of e with step i edited.
@@ -749,7 +748,7 @@ func withStep(e pathexpr.Expr, i int, edit func(*pathexpr.Step)) pathexpr.Expr {
 // answer: exact fragment literals, prefix and suffix shapes around
 // real edge spellings, a broad alternation, and a never-matching
 // pattern, so the product automaton runs on accepting, partially
-// matching and dead traversals alike.
+// matching and dead traversals alike. Each constraint comes once.
 func constraintsFor(s *schema.Schema, res *core.Result) []string {
 	out := []string{`(c|hp|po|as|sa).*`, `zqx9never`}
 	for i, c := range res.Completions {
@@ -765,7 +764,8 @@ func constraintsFor(s *schema.Schema, res *core.Result) []string {
 			`.*`+regexp.QuoteMeta(last.Conn.String()+last.Name),
 		)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 func relKey(rels []schema.RelID) string {
@@ -777,52 +777,59 @@ func relKey(rels []schema.RelID) string {
 	return string(b)
 }
 
-// runQuery runs the kernel adapters on one query e of the given kind.
-// naive is its naive answer (nil past the enumeration limit) and plain
-// holds the presets' answers to the base; inBase, nil for the base
-// itself, tests membership in the base Ψ.
-func (h *harness) runQuery(c *hCase, e pathexpr.Expr, kind int, naive *core.Result,
+// runQuery runs the kernel adapters on one query e, of the given kind,
+// over base query q. naive is its naive answer (nil past the
+// enumeration limit) and plain holds the presets' answers to the base;
+// inBase, nil for the base itself, tests membership in the base Ψ.
+func (h *harness) runQuery(c *hCase, q hQuery, e pathexpr.Expr, kind int, naive *core.Result,
 	plain [3]*core.Result, inBase func(*pathexpr.Resolved) bool) {
 	h.cells++
 	if naive == nil {
 		h.limitCells++
 	}
-	nf := naiveFacet(c, e, kind)
+	pattern := kind == queryPattern || q.pattern
+	excl := "" // marks the naive comparisons and soundness on an Exclude schema
+	if len(c.presets[exact].opts.Exclude) > 0 {
+		excl = ", excluded class"
+	}
+	fam := family(c, e, kind, pattern) + excl
 	for p := range c.presets {
 		opts, cmp := c.presets[p].opts, c.presets[p].cmp
+		in := " (" + presetNames[p] + ")"
 		res := plain[p]
 		if kind != queryBase {
 			var err error
 			if res, err = cmp.Complete(e); err != nil {
-				h.check(c, e, opts, "annotations: compile", err.Error(), "", nf)
+				h.check(c, e, opts, "annotations: compile"+in+", "+fam, err.Error(), "")
 				continue
 			}
 		}
 		if kind != queryUniversal { // a universal query is itself a rerun of the base
 			warm, err := cmp.Complete(e)
 			if err != nil {
-				h.check(c, e, opts, "warm: error", err.Error(), "")
+				h.check(c, e, opts, "warm: error"+in, err.Error(), "")
 				continue
 			}
-			h.check(c, e, opts, "warm: "+presetNames[p], warm, res)
+			h.check(c, e, opts, "warm: second run"+in, warm, res)
 			c.compared["warm"]++
 		}
 
 		var unsound, outside []string
 		for _, comp := range res.Completions {
-			if !comp.Path.Acyclic() || !comp.Path.ConsistentWith(e) || passesExcluded(comp.Path, opts.Exclude) {
+			through := slices.ContainsFunc(comp.Path.Classes[1:], func(cls schema.ClassID) bool { return opts.Exclude[cls] })
+			if !comp.Path.Acyclic() || !comp.Path.ConsistentWith(e) || through {
 				unsound = append(unsound, comp.Path.String())
 			}
 			if kind != queryBase && !inBase(comp.Path) {
 				outside = append(outside, comp.Path.String())
 			}
 		}
-		h.check(c, e, opts, "sound: "+presetNames[p], unsound, []string(nil), withExclusion(c, "TestPaperModeSoundness")...)
+		h.check(c, e, opts, "sound: acyclic, consistent, clear of Exclude"+in+excl, unsound, []string(nil))
 		c.compared["sound"]++
 		if kind != queryBase {
-			h.check(c, e, opts, "annotations: completions outside the base Ψ ("+presetNames[p]+")", outside, []string(nil), nf)
+			h.check(c, e, opts, "annotations: completions outside the base Ψ"+in+", "+fam, outside, []string(nil))
 			if kind == queryUniversal {
-				h.check(c, e, opts, "annotations: universal constraint ("+presetNames[p]+")", res, plain[p], "TestOracleUniversalDegeneracy")
+				h.check(c, e, opts, "annotations: universal constraint against the base"+in, res, plain[p])
 			}
 			c.compared["annotations"]++
 		}
@@ -843,14 +850,20 @@ func (h *harness) runQuery(c *hCase, e pathexpr.Expr, kind int, naive *core.Resu
 			}
 			continue
 		}
-		got, want := view(res), view(naive)
-		got.Best, want.Best = sortedBest(got.Best), sortedBest(want.Best)
-		h.check(c, e, opts, "exact: against naive", got, want, withExclusion(c, nf)...)
-		h.check(c, e, opts, "exact: Support", supportGap(c.s, res), "", "TestSupportCoversCompletions")
-		h.check(c, e, opts, "exact: naive Support", supportGap(c.s, naive), "", "TestSupportCoversCompletions")
+		got, want := core.View(res), core.View(naive)
+		got.Best, want.Best = core.KeysSorted(got.Best), core.KeysSorted(want.Best)
+		h.check(c, e, opts, "exact: against naive, "+fam, got, want)
+		h.check(c, e, opts, "exact: Support covers the completions", supportGap(c.s, res), "")
+		h.check(c, e, opts, "exact: naive Support covers the completions", supportGap(c.s, naive), "")
 		if res.Stats.Calls == 0 {
 			h.answered++
 			h.check(c, e, opts, "exact: |Ψ| where the reachability check answers", naive.Stats.Enumerated, 0)
+		}
+		if pattern {
+			h.patterns[0]++
+			if res.Stats.Calls == 0 {
+				h.patterns[1]++
+			}
 		}
 		c.compared["exact"]++
 		if c.wire && kind != queryUniversal && len(c.wireCells) < 16 {
@@ -859,17 +872,6 @@ func (h *harness) runQuery(c *hCase, e pathexpr.Expr, kind int, naive *core.Resu
 			}
 		}
 	}
-}
-
-// passesExcluded reports whether the path passes through a class of
-// excl anywhere but its root.
-func passesExcluded(r *pathexpr.Resolved, excl map[schema.ClassID]bool) bool {
-	for _, cls := range r.Classes[1:] {
-		if excl[cls] {
-			return true
-		}
-	}
-	return false
 }
 
 // supportGap describes how res.Support fails to cover the edges of
@@ -914,43 +916,35 @@ func (h *harness) frontier(t *testing.T, c *hCase) {
 		if err != nil {
 			continue
 		}
-		typed := map[string]bool{"value": true, "name": true, "units": true}
-		for k := 0; k < 2; k++ {
-			typed[anchors[c.r.Intn(len(anchors))]] = true
-		}
-		for _, a := range limit[root] {
-			typed[a] = true
-		}
-		names := make([]string, 0, len(typed))
-		for a := range typed {
-			names = append(names, a)
-		}
-		sort.Strings(names)
+		names := []string{"value", "name", "units", anchors[c.r.Intn(len(anchors))], anchors[c.r.Intn(len(anchors))]}
+		names = append(names, limit[root]...)
+		slices.Sort(names)
+		names = slices.Compact(names)
 		for _, anchor := range names {
 			for l := 1; l <= len(anchor); l++ {
 				prefix := anchor[:l]
 				e := gap(root, prefix)
 				warm, info, werr := fr.Advance(ctx, prefix, nil)
 				cold, cerr := p.cmp.CompletePrefixContext(ctx, e)
-				if !h.check(c, e, p.opts, "frontier: warm and cold errors", fmt.Sprint(werr), fmt.Sprint(cerr), "TestOracleIncrementalPrefix") || werr != nil {
+				if !h.check(c, e, p.opts, "frontier: warm and cold errors", fmt.Sprint(werr), fmt.Sprint(cerr)) || werr != nil {
 					break // no anchor matches this prefix
 				}
-				h.check(c, e, p.opts, "frontier: warm Advance against cold CompletePrefixContext", view(warm), view(cold), "TestOracleIncrementalPrefix")
+				h.check(c, e, p.opts, "frontier: warm Advance against cold CompletePrefixContext", core.View(warm), core.View(cold))
 				if l > 1 {
-					h.check(c, e, p.opts, "frontier: cold searches of a refinement", info.Cold, 0, "TestOracleIncrementalPrefix")
+					h.check(c, e, p.opts, "frontier: cold searches of a refinement", info.Cold, 0)
 				}
 				if m := fr.Matches(prefix); len(m) == 1 && m[0] == prefix {
 					one, err := p.cmp.Complete(e)
 					if err != nil {
 						t.Fatalf("%s %v: %v", c.name, e, err)
 					}
-					h.check(c, e, p.opts, "frontier: narrowed Advance against the one-shot", view(warm), view(one), "TestOracleIncrementalPrefix")
+					h.check(c, e, p.opts, "frontier: narrowed Advance against the one-shot", core.View(warm), core.View(one))
 				}
 				c.compared["frontier"]++
 			}
 		}
 		_, _, err = fr.Advance(ctx, "zz\x00nope", nil)
-		h.check(c, gap(root, "zz\x00nope"), p.opts, "frontier: a prefix that matches nothing errs", err != nil, true, "TestOracleIncrementalPrefix")
+		h.check(c, gap(root, "zz\x00nope"), p.opts, "frontier: a prefix that matches nothing errs", err != nil, true)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathcomplete/internal/schema"
@@ -62,24 +63,21 @@ func randSchema(t testing.TB, seed int64) *schema.Schema {
 	return s
 }
 
-// anchors returns interesting gap anchors for a schema: shared
-// attribute names, a few relationship names, and a few class names.
+// anchors returns interesting gap anchors for a schema, sorted:
+// shared attribute names, a few relationship names, and a few class
+// names.
 func anchors(s *schema.Schema, r *rand.Rand) []string {
-	set := map[string]bool{"label": true, "size": true}
+	out := []string{"label", "size"}
 	rels := s.Rels()
 	for k := 0; k < 4 && len(rels) > 0; k++ {
-		set[rels[r.Intn(len(rels))].Name] = true
+		out = append(out, rels[r.Intn(len(rels))].Name)
 	}
 	cs := s.Classes()
 	for k := 0; k < 3; k++ {
-		c := cs[r.Intn(len(cs))]
-		if !c.Primitive {
-			set[c.Name] = true
+		if c := cs[r.Intn(len(cs))]; !c.Primitive {
+			out = append(out, c.Name)
 		}
 	}
-	var out []string
-	for n := range set {
-		out = append(out, n)
-	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

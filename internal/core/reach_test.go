@@ -19,7 +19,8 @@ import (
 // with the reachability check bypassed. Where the check answers, the
 // two Results must be equal with Stats left aside, and the dispatch's
 // Stats must be zero. (That Ψ is empty wherever the check answers is
-// the differential harness's.) It reports whether the check answered.
+// the differential harness's, on its cells and on random patterns of
+// randReachPattern's.) It reports whether the check answered.
 func checkReach(t *testing.T, tag string, cmp *core.Completer, e pathexpr.Expr, classGaps map[int]bool) bool {
 	t.Helper()
 	checked, searched, answered, err := core.SearchBothWays(context.Background(), cmp, e, classGaps)
@@ -105,6 +106,29 @@ func TestReachabilityCheckCells(t *testing.T) {
 	}
 }
 
+// randReachPattern is randRowPattern with a regex constraint on about a
+// third of its gaps: a prefix or a suffix shape around a real edge
+// spelling, or a pattern that never matches.
+func randReachPattern(s *schema.Schema, r *rand.Rand) (pathexpr.Expr, map[int]bool) {
+	e, classGaps := randRowPattern(s, r)
+	rels := s.Rels()
+	for j := range e.Steps {
+		if !e.Steps[j].Gap || r.Intn(3) != 0 {
+			continue
+		}
+		rel := rels[r.Intn(len(rels))]
+		switch r.Intn(3) {
+		case 0:
+			e.Steps[j].Constraint = regexp.QuoteMeta(rel.Name) + `.*`
+		case 1:
+			e.Steps[j].Constraint = `.*` + regexp.QuoteMeta(rel.Conn.String()+rel.Name)
+		default:
+			e.Steps[j].Constraint = `zqx9never`
+		}
+	}
+	return e, classGaps
+}
+
 // TestReachabilityCheckPatterns: the same lock over random multi-gap
 // patterns with explicit steps, predicates, class-anchored gaps and
 // regex constraints.
@@ -115,26 +139,10 @@ func TestReachabilityCheckPatterns(t *testing.T) {
 	}
 	fired := 0
 	for i, rs := range reachCorpus(t, n) {
-		s := rs.s
 		r := rand.New(rand.NewSource(int64(i)*7919 + 3))
-		cmp := core.New(s, core.Paper())
-		rels := s.Rels()
+		cmp := core.New(rs.s, core.Paper())
 		for k := 0; k < perSchema; k++ {
-			e, classGaps := randRowPattern(s, r)
-			for j := range e.Steps {
-				if !e.Steps[j].Gap || r.Intn(3) != 0 {
-					continue
-				}
-				rel := rels[r.Intn(len(rels))]
-				switch r.Intn(3) {
-				case 0:
-					e.Steps[j].Constraint = regexp.QuoteMeta(rel.Name) + `.*`
-				case 1:
-					e.Steps[j].Constraint = `.*` + regexp.QuoteMeta(rel.Conn.String()+rel.Name)
-				default:
-					e.Steps[j].Constraint = `zqx9never`
-				}
-			}
+			e, classGaps := randReachPattern(rs.s, r)
 			if checkReach(t, fmt.Sprintf("%s pattern %d", rs.name, k), cmp, e, classGaps) {
 				fired++
 			}
